@@ -46,9 +46,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-// NOTE: duplicated in crates/runtime/tests/alloc_free_join.rs — a #[global_allocator] must
-// be declared in each binary crate root, so only the wrapper could be shared, at the cost
-// of a public test-support surface on rws-runtime. Keep the two copies in sync.
+// NOTE: crates/runtime/tests/alloc_free_join.rs has a per-thread variant — a
+// #[global_allocator] must be declared in each binary crate root. This one stays
+// process-global because the t>1 `allocs` counts deliberately span the pool's threads.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);

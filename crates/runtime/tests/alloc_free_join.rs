@@ -5,33 +5,46 @@
 //! The pool has one worker, so no branch is ever stolen: every `join` pushes its stack job,
 //! runs the left branch, pops the job straight back and runs it inline. A warm-up run first
 //! absorbs one-time costs (thread-local init, channel plumbing of `install`); the measured
-//! window is entirely inside the installed closure, with the main thread blocked and no
-//! other thread runnable.
+//! window is entirely inside the installed closure. The counter is per thread and is read
+//! on the pool worker that runs that window, so allocations by sibling tests running on
+//! other threads of this binary never land in it.
 
 use rws_runtime::{join, scope, DequeBackend, ThreadPoolBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-// NOTE: duplicated in crates/bench/src/bin/native_bench.rs — a #[global_allocator] must be
-// declared in each binary crate root, so only the wrapper could be shared, at the cost of a
-// public test-support surface on rws-runtime. Keep the two copies in sync.
+// NOTE: crates/bench/src/bin/native_bench.rs has a process-global variant for its
+// multi-thread counts — a #[global_allocator] must be declared in each binary crate root.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` init with no destructor: touching it never allocates or registers a dtor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` so the allocator can never panic, even during thread teardown.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -61,9 +74,9 @@ fn unstolen_join_fast_path_is_allocation_free() {
                          // Warm up: first run pays any one-time lazy initialization.
         assert_eq!(pool.install(move || recursive_sum(0, n)), n * (n - 1) / 2);
         let (total, delta) = pool.install(move || {
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let before = allocations();
             let total = recursive_sum(0, n);
-            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            let after = allocations();
             (total, after - before)
         });
         assert_eq!(total, n * (n - 1) / 2);
@@ -90,9 +103,9 @@ fn traced_unstolen_join_fast_path_is_allocation_free() {
         // Warm up: first run pays any one-time lazy initialization.
         assert_eq!(pool.install(move || recursive_sum(0, n)), n * (n - 1) / 2);
         let (total, delta) = pool.install(move || {
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let before = allocations();
             let total = recursive_sum(0, n);
-            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            let after = allocations();
             (total, after - before)
         });
         assert_eq!(total, n * (n - 1) / 2);
@@ -134,9 +147,9 @@ fn unstolen_single_spawn_scope_fast_path_is_allocation_free() {
         // Warm up: first run pays any one-time lazy initialization.
         assert_eq!(pool.install(move || scoped_sum(0, n)), n * (n - 1) / 2);
         let (total, delta) = pool.install(move || {
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let before = allocations();
             let total = scoped_sum(0, n);
-            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            let after = allocations();
             (total, after - before)
         });
         assert_eq!(total, n * (n - 1) / 2);
@@ -151,9 +164,9 @@ fn unstolen_single_spawn_scope_fast_path_is_allocation_free() {
 #[test]
 fn allocator_counter_actually_counts() {
     // Guard against the instrument itself silently breaking: a Box must be visible.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let b = std::hint::black_box(Box::new(123u64));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     drop(b);
     assert!(after > before, "counting allocator failed to observe an allocation");
 }

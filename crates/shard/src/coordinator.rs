@@ -147,7 +147,8 @@ impl ShardedExecutor {
         self
     }
 
-    /// Chaos knob: script shard `shard` to crash after producing `jobs` results.
+    /// Chaos knob: script shard `shard` to crash on taking its next job once it has
+    /// produced `jobs` results, so it always dies holding unacknowledged work.
     pub fn fault_exit_after(mut self, shard: usize, jobs: u64) -> Self {
         self.faults[shard].exit_after = Some(jobs);
         self

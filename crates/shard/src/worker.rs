@@ -17,7 +17,8 @@
 //!    [`HEARTBEAT_INTERVAL`] with the current queue depth — the coordinator's liveness
 //!    and LeastLoaded signals.
 //! 4. **Shutdown.** On [`Message::Shutdown`] (or stdin EOF) the worker answers
-//!    [`Message::Bye`] and exits 0.
+//!    [`Message::Bye`] and exits 0 as soon as its job loop ends, without waiting out a
+//!    heartbeat interval.
 //!
 //! Stdout is shared by the result and heartbeat writers behind a mutex; frames are
 //! assembled as single writes (see [`crate::frame`]) so they never interleave.
@@ -26,8 +27,9 @@
 //!
 //! Two environment variables let the chaos tests script worker failure:
 //!
-//! * [`ENV_FAIL_AFTER_JOBS`] — after producing this many results, exit abruptly
-//!   (simulates a crash with jobs still queued; the coordinator sees EOF).
+//! * [`ENV_FAIL_AFTER_JOBS`] — after producing this many results, exit abruptly on
+//!   taking the next job from the queue, before running it (simulates a crash holding
+//!   unacknowledged work; the coordinator sees EOF and must redistribute that job).
 //! * [`ENV_STALL_AFTER_JOBS`] — after producing this many results, stop processing *and*
 //!   stop heartbeating, but stay alive (simulates a wedged process; the coordinator's
 //!   heartbeat timeout must catch it).
@@ -37,7 +39,7 @@ use crate::proto::{Message, PartStats, VERSION};
 use rws_exec::{NativeExecutor, SharedWorkload};
 use std::io::{self, Write};
 use std::process;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -45,7 +47,8 @@ use std::time::{Duration, Instant};
 /// How often the worker emits a heartbeat frame.
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Env var: exit the process abruptly after this many results (chaos testing).
+/// Env var: exit the process abruptly on taking a job once this many results have been
+/// produced (chaos testing).
 pub const ENV_FAIL_AFTER_JOBS: &str = "RWS_SHARD_FAIL_AFTER_JOBS";
 
 /// Env var: stop processing and heartbeating (but stay alive) after this many results.
@@ -65,6 +68,21 @@ fn env_count(name: &str) -> Option<u64> {
 fn send(out: &Mutex<io::Stdout>, msg: &Message) -> io::Result<()> {
     let mut guard = out.lock().unwrap_or_else(|e| e.into_inner());
     write_frame(&mut *guard, &msg.encode())
+}
+
+/// Call `beat` every `interval` until `stop` receives a value or its sender is dropped,
+/// or until `beat` fails. The wait is the receive itself, so a stop signal ends it at
+/// once instead of after the rest of the interval.
+fn heartbeat_loop(
+    interval: Duration,
+    stop: &mpsc::Receiver<()>,
+    mut beat: impl FnMut() -> io::Result<()>,
+) {
+    while let Err(mpsc::RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
+        if beat().is_err() {
+            break; // coordinator is gone; the job loop will notice too
+        }
+    }
 }
 
 /// Run the worker protocol over this process's stdin/stdout. Returns the process exit
@@ -110,7 +128,6 @@ pub fn run_worker() -> i32 {
 
     let queue_depth = Arc::new(AtomicU32::new(0));
     let jobs_done = Arc::new(AtomicU64::new(0));
-    let stopped = Arc::new(AtomicBool::new(false));
 
     // -- Reader thread: stdin frames -> job queue ------------------------------------
     let (tx, rx) = mpsc::channel::<Message>();
@@ -144,21 +161,15 @@ pub fn run_worker() -> i32 {
     let hb_out = Arc::clone(&out);
     let hb_depth = Arc::clone(&queue_depth);
     let hb_done = Arc::clone(&jobs_done);
-    let hb_stopped = Arc::clone(&stopped);
+    let (stop_tx, stop_rx) = mpsc::channel::<()>();
     let heartbeat = thread::spawn(move || {
-        while !hb_stopped.load(Ordering::SeqCst) {
-            thread::sleep(HEARTBEAT_INTERVAL);
-            if hb_stopped.load(Ordering::SeqCst) {
-                break;
-            }
+        heartbeat_loop(HEARTBEAT_INTERVAL, &stop_rx, || {
             let msg = Message::Heartbeat {
                 queue_depth: hb_depth.load(Ordering::SeqCst),
                 jobs_done: hb_done.load(Ordering::SeqCst),
             };
-            if send(&hb_out, &msg).is_err() {
-                break; // coordinator is gone; the job loop will notice too
-            }
-        }
+            send(&hb_out, &msg)
+        });
     });
 
     // -- Job loop --------------------------------------------------------------------
@@ -173,11 +184,18 @@ pub fn run_worker() -> i32 {
         };
         match msg {
             Message::Job(job) => {
+                if let Some(limit) = fail_after {
+                    if jobs_done.load(Ordering::SeqCst) >= limit {
+                        // Scripted crash: no Bye, no drain — the coordinator must see a
+                        // raw EOF while this job is still unacknowledged.
+                        process::exit(EXIT_FAULT_INJECTED);
+                    }
+                }
                 if let Some(limit) = stall_after {
                     if jobs_done.load(Ordering::SeqCst) >= limit {
                         // Wedge: stop heartbeating and never answer again. The
                         // coordinator's heartbeat timeout is responsible for killing us.
-                        stopped.store(true, Ordering::SeqCst);
+                        let _ = stop_tx.send(());
                         loop {
                             thread::sleep(Duration::from_secs(3600));
                         }
@@ -230,14 +248,7 @@ pub fn run_worker() -> i32 {
                     break 0; // coordinator hung up
                 }
                 queue_depth.fetch_sub(1, Ordering::SeqCst);
-                let done = jobs_done.fetch_add(1, Ordering::SeqCst) + 1;
-                if let Some(limit) = fail_after {
-                    if done >= limit {
-                        // Scripted crash: no Bye, no drain — the coordinator must see a
-                        // raw EOF with jobs still unacknowledged.
-                        process::exit(EXIT_FAULT_INJECTED);
-                    }
-                }
+                jobs_done.fetch_add(1, Ordering::SeqCst);
             }
             Message::Shutdown => {
                 let _ = send(&out, &Message::Bye);
@@ -248,7 +259,7 @@ pub fn run_worker() -> i32 {
         }
     };
 
-    stopped.store(true, Ordering::SeqCst);
+    drop(stop_tx); // ends the heartbeat's wait now, not after the rest of its interval
     let _ = heartbeat.join();
     // The reader may still be blocked on stdin (e.g. after a bad job); dropping its
     // handle detaches it — process exit reaps the thread.
@@ -256,4 +267,42 @@ pub fn run_worker() -> i32 {
     drop(reader);
     let _ = io::stdout().flush();
     exit_code
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn heartbeat_loop_returns_promptly_once_stopped() {
+        // An hour-long interval: a loop that sleeps out its interval before looking at
+        // the stop signal cannot return within the bound below.
+        let (stop_tx, stop_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let worker = thread::spawn(move || {
+            heartbeat_loop(Duration::from_secs(3600), &stop_rx, || Ok(()));
+            let _ = done_tx.send(());
+        });
+        stop_tx.send(()).expect("heartbeat loop holds the receiver");
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "heartbeat loop kept waiting out its interval after the stop signal"
+        );
+        worker.join().expect("heartbeat thread panicked");
+    }
+
+    #[test]
+    fn heartbeat_loop_beats_until_the_writer_fails() {
+        let (_stop_tx, stop_rx) = mpsc::channel();
+        let mut beats = 0;
+        heartbeat_loop(Duration::from_millis(1), &stop_rx, || {
+            beats += 1;
+            if beats < 3 {
+                Ok(())
+            } else {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+        });
+        assert_eq!(beats, 3, "beats until the first failed write, then stops");
+    }
 }

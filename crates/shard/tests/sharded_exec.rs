@@ -48,21 +48,28 @@ fn spmv_shards_match_the_reference_at_two_and_three_shards() {
 
 #[test]
 fn killing_a_shard_mid_sweep_loses_no_jobs_and_duplicates_none() {
-    // Shard 1 crashes abruptly after its second result, with jobs still unacknowledged.
-    let exec = ShardedExecutor::new(3).jobs_per_shard(4).fault_exit_after(1, 2);
+    // Static dispatch hands shard 1 parts 4..8 up front. It answers two of them, then
+    // crashes on taking the third, so exactly parts 6 and 7 are unacknowledged.
+    let exec = ShardedExecutor::new(3)
+        .jobs_per_shard(4)
+        .policy(DispatchPolicy::Static)
+        .fault_exit_after(1, 2);
     let workload = matmul();
     let outcome = exec.execute(Arc::clone(&workload));
     assert_eq!(outcome.output, workload.run_reference(), "output survived the crash intact");
     let detail = outcome.report.shard.as_ref().unwrap();
     assert_eq!(detail.parts, 12);
     assert_eq!(detail.shard_deaths, 1, "exactly the scripted crash");
-    assert!(detail.redistributed > 0, "the dead shard held unacknowledged jobs that had to move");
+    assert_eq!(
+        detail.redistributed, 2,
+        "the dead shard held two unacknowledged jobs that had to move"
+    );
     assert_eq!(
         detail.jobs_accepted, 12,
         "exactly one accepted result per part — duplicates dropped, none lost"
     );
-    assert!(
-        detail.jobs_dispatched > 12,
+    assert_eq!(
+        detail.jobs_dispatched, 14,
         "redistributed jobs are dispatched a second time (at-least-once)"
     );
     assert_eq!(detail.jobs_per_shard.len(), 3);
