@@ -11,11 +11,10 @@
 use crate::common::par_chunks_mut;
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicI64, Ordering};
 
 /// A directed graph in compressed-sparse-row form.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `row_starts[v]..row_starts[v + 1]` indexes `cols` with `v`'s out-neighbors.
     pub row_starts: Vec<usize>,
@@ -152,7 +151,7 @@ pub fn bfs_native(g: &CsrGraph, src: usize) -> Vec<i64> {
 }
 
 /// Configuration for the BFS computation builder.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BfsConfig {
     /// Source vertex.
     pub src: usize,

@@ -14,10 +14,9 @@
 use crate::common::{balanced_levels, par_chunks_mut, Dest};
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, Shrink, SpDagBuilder, WorkUnit};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the FFT computation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FftConfig {
     /// Transform length (power of two).
     pub n: usize,

@@ -6,8 +6,6 @@
 //! which is what makes the matrix algorithms both cache-efficient and block-miss-frugal: a
 //! stolen subtask writes into O(1) blocks shared with its parent.
 
-use serde::{Deserialize, Serialize};
-
 /// Interleave the bits of `i` (row) and `j` (column) to produce the BI index of element
 /// `(i, j)` of a matrix whose dimension is a power of two. Row bits become the odd (higher)
 /// bits so that quadrants are ordered TL, TR, BL, BR.
@@ -32,7 +30,7 @@ pub fn bit_deinterleave(idx: u64) -> (u64, u64) {
 }
 
 /// Supported matrix layouts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MatrixLayout {
     /// Row major: element `(i, j)` of an `n × n` matrix is word `i * n + j`.
     RowMajor,

@@ -15,10 +15,9 @@
 use crate::common::par_chunks_mut;
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for list ranking.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ListRankConfig {
     /// Number of list nodes (power of two).
     pub n: usize,
@@ -98,7 +97,7 @@ pub fn list_ranking_computation(cfg: &ListRankConfig) -> Computation {
 }
 
 /// Configuration for connected components.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConnectedComponentsConfig {
     /// Number of vertices (power of two).
     pub vertices: usize,

@@ -21,10 +21,9 @@ use crate::common::{balanced_levels, Dest};
 use crate::layout::{bi_quadrant_offset, bit_interleave};
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{AlgoMeta, Computation, NodeId, Shrink, SpDagBuilder, WorkUnit};
-use serde::{Deserialize, Serialize};
 
 /// Which matrix-multiply algorithm to build.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MmVariant {
     /// Depth-`n` recursion, accumulating in place (not limited-access).
     DepthNInPlace,
@@ -35,7 +34,7 @@ pub enum MmVariant {
 }
 
 /// Configuration of a matrix-multiply computation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MatMulConfig {
     /// Matrix dimension (must be a power of two).
     pub n: usize,
@@ -66,7 +65,7 @@ impl MatMulConfig {
 }
 
 /// Global addresses of the three matrices (all BI-ordered, `n²` words each).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MatMulLayout {
     /// Base address of `A`.
     pub a_base: u64,

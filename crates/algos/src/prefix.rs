@@ -9,10 +9,9 @@
 
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the prefix-sums computation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PrefixConfig {
     /// Number of input elements (must be a multiple of `chunk` and `n / chunk` a power of 2).
     pub n: usize,
@@ -44,7 +43,7 @@ impl PrefixConfig {
 }
 
 /// Global layout of the prefix-sums arrays.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PrefixLayout {
     /// Input `X[0..n]`.
     pub x_base: u64,

@@ -16,7 +16,6 @@
 use crate::common::par_chunks_mut;
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
-use serde::{Deserialize, Serialize};
 
 /// Sequential reference: the sorted copy of `keys`.
 pub fn sample_sort_reference(keys: &[u64]) -> Vec<u64> {
@@ -83,7 +82,7 @@ pub fn sample_sort_native(keys: &[u64], buckets: usize) -> Vec<u64> {
 }
 
 /// Configuration for the sample-sort computation builder.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SampleSortConfig {
     /// Number of buckets.
     pub buckets: usize,

@@ -14,10 +14,9 @@
 use crate::common::{balanced_levels, Dest};
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, Shrink, SpDagBuilder, WorkUnit};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the sorting computation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SortConfig {
     /// Number of keys (power of two).
     pub n: usize,

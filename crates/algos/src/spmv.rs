@@ -14,10 +14,9 @@
 use crate::common::par_chunks_mut;
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
-use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed-sparse-row form.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CsrMatrix {
     /// Number of columns (the length `x` must have).
     pub ncols: usize,
@@ -113,7 +112,7 @@ pub fn spmv_native(m: &CsrMatrix, x: &[f64]) -> Vec<f64> {
 }
 
 /// Configuration for the SpMV computation builder.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpmvConfig {
     /// Output rows per dag leaf.
     pub chunk: usize,

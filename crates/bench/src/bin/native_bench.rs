@@ -1,7 +1,7 @@
-//! Emit `BENCH_native.json`: the native hot-path benchmark comparing the lock-free
-//! Chase–Lev deque backend against the mutex-protected `SimpleDeque` across workloads and
-//! thread counts, plus the service-mode rows (job-server throughput, shed rate, and p99
-//! queue latency — see `run_service_suite`), the flight-recorder overhead row
+//! Emit `BENCH_native.json`: the native hot-path benchmark of the lock-free Chase–Lev
+//! deque pool across workloads and thread counts, plus the service-mode rows (job-server
+//! throughput, shed rate, and p99 queue latency — see `run_service_suite`), the
+//! flight-recorder overhead row
 //! (`run_trace_overhead`: the same workload with tracing off and on, so the gate can prove
 //! the always-compiled recorder stays free when it is off), and the multi-process
 //! `sharded` rows (`run_sharded_suite`: shardable workloads across worker subprocesses vs

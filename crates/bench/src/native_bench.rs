@@ -3,13 +3,11 @@
 //!
 //! Runs a set of fork-join workloads — plus the DAG-structured family (task-graph
 //! workflow, BFS, SpMV, sample sort), whose sparse frontiers and dependency-released
-//! bursts stress the idle path the balanced trees never touch — on both deque backends of
-//! `rws-runtime` — the
-//! lock-free Chase–Lev deque (`chaselev`) and the mutex-protected `SimpleDeque`
-//! (`simple`) — across a thread sweep, and records per configuration the median wall time,
-//! the pool's steal/retry/park counter deltas, and (when the caller supplies an
-//! allocation-counter hook, as the binary's counting global allocator does)
-//! allocations-per-fork. The output is the JSON perf trajectory future PRs must beat.
+//! bursts stress the idle path the balanced trees never touch — on `rws-runtime`'s
+//! lock-free Chase–Lev deque (`chaselev`) across a thread sweep, and records per
+//! configuration the median wall time, the pool's steal/retry/park counter deltas, and
+//! (when the caller supplies an allocation-counter hook, as the binary's counting global
+//! allocator does) allocations-per-fork. The output is the JSON perf trajectory future PRs must beat.
 //!
 //! Alongside the fork-join rows, [`run_service_suite`] measures the persistent job-server
 //! mode ([`rws_runtime::service`]): jobs/sec through the streamed submission pipeline
@@ -23,8 +21,8 @@
 //! fault ledger) is deterministic and gated exactly; the walls quantify the multi-process
 //! tax and are reported, never gated.
 //!
-//! The JSON renders through the workspace's one writer, [`rws_lab::json`] (the vendored
-//! `serde` is a no-op marker, so emission is hand-rolled — but hand-rolled once, there);
+//! The JSON renders through the workspace's one writer, [`rws_lab::json`] (emission is
+//! hand-rolled — but hand-rolled once, there);
 //! the structural [`validate_json`] check runs after every write so a malformed emission
 //! fails loudly (in CI, the bench smoke step).
 //!
@@ -45,8 +43,7 @@ use rws_algos::taskgraph::{layered_random, workflow_native};
 use rws_algos::transpose::{bi_to_rm_native, rm_to_bi_native, transpose_native_bi};
 use rws_lab::json::{self, obj, Json};
 use rws_runtime::{
-    join, AdmissionPolicy, DequeBackend, JobServer, ServiceConfig, ServiceSnapshot, ThreadPool,
-    ThreadPoolBuilder,
+    join, AdmissionPolicy, JobServer, ServiceConfig, ServiceSnapshot, ThreadPool, ThreadPoolBuilder,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,7 +111,7 @@ impl BenchConfig {
 pub struct BenchRecord {
     /// Workload name (`recursive-sum`, `matmul`, …).
     pub workload: String,
-    /// Deque backend name (`chaselev` or `simple`).
+    /// Deque backend name: always `chaselev` (the gate matches rows on it).
     pub backend: String,
     /// Worker threads in the pool.
     pub threads: usize,
@@ -130,23 +127,15 @@ pub struct BenchRecord {
     pub batch_steals: u64,
     /// Fork branches executed (pool counter delta, median run).
     pub jobs: u64,
-    /// Steal attempts that lost a CAS race (`Steal::Retry`; always 0 on `simple`).
+    /// Steal attempts that lost a CAS race (`Steal::Retry`).
     pub steal_retries: u64,
     /// Times a worker parked during the run.
     pub parks: u64,
     /// Heap allocations observed during the median run (0 when no hook was supplied).
     pub allocs: u64,
     /// Allocations per executed fork branch — the "is `join` really allocation-free"
-    /// trajectory number (includes the workload's own result buffers, identical across
-    /// backends).
+    /// trajectory number (includes the workload's own result buffers).
     pub allocs_per_fork: f64,
-}
-
-fn backend_name(b: DequeBackend) -> &'static str {
-    match b {
-        DequeBackend::Crossbeam => "chaselev",
-        DequeBackend::Simple => "simple",
-    }
 }
 
 fn recursive_sum(lo: u64, hi: u64) -> u64 {
@@ -385,61 +374,59 @@ struct OneRun {
 pub fn run_suite(cfg: &BenchConfig, alloc_count: impl Fn() -> u64) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     for spec in suite(cfg.size) {
-        for &backend in &[DequeBackend::Crossbeam, DequeBackend::Simple] {
-            for &threads in &cfg.threads {
-                // One pool per configuration: counters attribute through deltas, and pool
-                // construction stays outside every timed window (the hot path is what is
-                // being measured, not thread spawning). The untimed warm-up passes absorb
-                // first-touch costs; the first also produces the reference checksum.
-                let pool = ThreadPoolBuilder::new().threads(threads).backend(backend).build();
-                let warm = (spec.run)(&pool);
-                for _ in 1..cfg.warmup {
-                    let again = (spec.run)(&pool);
-                    assert_eq!(again, warm, "{}: nondeterministic checksum", spec.name);
-                }
-                let mut runs: Vec<OneRun> = Vec::with_capacity(cfg.repeats);
-                for _ in 0..cfg.repeats {
-                    let steals0 = pool.stats().total_steals();
-                    let batch0 = pool.stats().total_batch_steals();
-                    let jobs0 = pool.stats().total_jobs();
-                    let retries0 = pool.stats().total_retries();
-                    let parks0 = pool.stats().total_parks();
-                    let allocs0 = alloc_count();
-                    let start = Instant::now();
-                    let check = (spec.run)(&pool);
-                    let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    assert_eq!(check, warm, "{}: nondeterministic checksum", spec.name);
-                    runs.push(OneRun {
-                        wall_ns,
-                        steals: pool.stats().total_steals() - steals0,
-                        batch_steals: pool.stats().total_batch_steals() - batch0,
-                        jobs: pool.stats().total_jobs() - jobs0,
-                        retries: pool.stats().total_retries() - retries0,
-                        parks: pool.stats().total_parks() - parks0,
-                        allocs: alloc_count() - allocs0,
-                    });
-                }
-                runs.sort_by_key(|r| r.wall_ns);
-                let median = &runs[runs.len() / 2];
-                records.push(BenchRecord {
-                    workload: spec.name.to_string(),
-                    backend: backend_name(backend).to_string(),
-                    threads,
-                    wall_ns_median: median.wall_ns,
-                    wall_ns_min: runs[0].wall_ns,
-                    steals: median.steals,
-                    batch_steals: median.batch_steals,
-                    jobs: median.jobs,
-                    steal_retries: median.retries,
-                    parks: median.parks,
-                    allocs: median.allocs,
-                    allocs_per_fork: if median.jobs == 0 {
-                        0.0
-                    } else {
-                        median.allocs as f64 / median.jobs as f64
-                    },
+        for &threads in &cfg.threads {
+            // One pool per configuration: counters attribute through deltas, and pool
+            // construction stays outside every timed window (the hot path is what is
+            // being measured, not thread spawning). The untimed warm-up passes absorb
+            // first-touch costs; the first also produces the reference checksum.
+            let pool = ThreadPoolBuilder::new().threads(threads).build();
+            let warm = (spec.run)(&pool);
+            for _ in 1..cfg.warmup {
+                let again = (spec.run)(&pool);
+                assert_eq!(again, warm, "{}: nondeterministic checksum", spec.name);
+            }
+            let mut runs: Vec<OneRun> = Vec::with_capacity(cfg.repeats);
+            for _ in 0..cfg.repeats {
+                let steals0 = pool.stats().total_steals();
+                let batch0 = pool.stats().total_batch_steals();
+                let jobs0 = pool.stats().total_jobs();
+                let retries0 = pool.stats().total_retries();
+                let parks0 = pool.stats().total_parks();
+                let allocs0 = alloc_count();
+                let start = Instant::now();
+                let check = (spec.run)(&pool);
+                let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                assert_eq!(check, warm, "{}: nondeterministic checksum", spec.name);
+                runs.push(OneRun {
+                    wall_ns,
+                    steals: pool.stats().total_steals() - steals0,
+                    batch_steals: pool.stats().total_batch_steals() - batch0,
+                    jobs: pool.stats().total_jobs() - jobs0,
+                    retries: pool.stats().total_retries() - retries0,
+                    parks: pool.stats().total_parks() - parks0,
+                    allocs: alloc_count() - allocs0,
                 });
             }
+            runs.sort_by_key(|r| r.wall_ns);
+            let median = &runs[runs.len() / 2];
+            records.push(BenchRecord {
+                workload: spec.name.to_string(),
+                backend: "chaselev".to_string(),
+                threads,
+                wall_ns_median: median.wall_ns,
+                wall_ns_min: runs[0].wall_ns,
+                steals: median.steals,
+                batch_steals: median.batch_steals,
+                jobs: median.jobs,
+                steal_retries: median.retries,
+                parks: median.parks,
+                allocs: median.allocs,
+                allocs_per_fork: if median.jobs == 0 {
+                    0.0
+                } else {
+                    median.allocs as f64 / median.jobs as f64
+                },
+            });
         }
     }
     records
@@ -697,15 +684,10 @@ pub fn run_trace_overhead(cfg: &BenchConfig) -> TraceBenchRecord {
         (runs[runs.len() / 2].0, jobs)
     };
 
-    let off_pool =
-        ThreadPoolBuilder::new().threads(threads).backend(DequeBackend::Crossbeam).build();
+    let off_pool = ThreadPoolBuilder::new().threads(threads).build();
     let (off_median, off_jobs) = measure(&off_pool);
 
-    let on_pool = ThreadPoolBuilder::new()
-        .threads(threads)
-        .backend(DequeBackend::Crossbeam)
-        .trace(TRACE_BENCH_CAPACITY)
-        .build();
+    let on_pool = ThreadPoolBuilder::new().threads(threads).trace(TRACE_BENCH_CAPACITY).build();
     let (on_median, on_jobs) = measure(&on_pool);
     assert_eq!(off_jobs, on_jobs, "tracing must not change the fork count");
 
@@ -858,26 +840,6 @@ pub fn run_sharded_suite(cfg: &BenchConfig) -> Vec<ShardedBenchRecord> {
     records
 }
 
-/// Head-to-head comparison derived from the records: for each (workload, threads), the
-/// chaselev-vs-simple speedup on median wall time.
-pub fn comparisons(records: &[BenchRecord]) -> Vec<(String, usize, u64, u64, f64)> {
-    let mut out = Vec::new();
-    for r in records.iter().filter(|r| r.backend == "chaselev") {
-        if let Some(s) = records
-            .iter()
-            .find(|s| s.backend == "simple" && s.workload == r.workload && s.threads == r.threads)
-        {
-            let speedup = if r.wall_ns_median == 0 {
-                1.0
-            } else {
-                s.wall_ns_median as f64 / r.wall_ns_median as f64
-            };
-            out.push((r.workload.clone(), r.threads, r.wall_ns_median, s.wall_ns_median, speedup));
-        }
-    }
-    out
-}
-
 /// Serialize the suite results as the `BENCH_native.json` document (rendered through the
 /// shared [`rws_lab::json`] writer — one escaping and number-formatting path workspace-wide).
 /// The `trace` key is emitted as `null`; the binary's full emission path goes through
@@ -976,18 +938,6 @@ pub fn to_json_full(
             ])
         })
         .collect();
-    let cmps: Vec<Json> = comparisons(records)
-        .into_iter()
-        .map(|(workload, threads, cl, simple, speedup)| {
-            obj([
-                ("workload", workload.into()),
-                ("threads", threads.into()),
-                ("chaselev_ns", cl.into()),
-                ("simple_ns", simple.into()),
-                ("speedup", speedup.into()),
-            ])
-        })
-        .collect();
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0);
     let caveat = if host == 0 {
         "host parallelism unknown (available_parallelism failed): interpret multi-thread \
@@ -1000,8 +950,10 @@ pub fn to_json_full(
     };
     obj([
         // v2: the `service` array (job-server throughput/shedding rows) joined the
-        // document; consumers diffing against a v1 baseline must regenerate it.
-        ("schema", "rws-bench-native/v2".into()),
+        // document. v3: the `chaselev_vs_simple` section left with the mutex deque, so
+        // every record is a `chaselev` row. A baseline of another version must be
+        // regenerated.
+        ("schema", "rws-bench-native/v3".into()),
         ("size", cfg.size.name().into()),
         ("repeats", cfg.repeats.into()),
         ("warmup", cfg.warmup.into()),
@@ -1011,7 +963,6 @@ pub fn to_json_full(
         ("service", svc.into()),
         ("trace", trace.map(trace_json).unwrap_or(Json::Null)),
         ("sharded", shd.into()),
-        ("chaselev_vs_simple", cmps.into()),
     ])
     .render()
 }
@@ -1022,16 +973,7 @@ pub fn to_json_full(
 pub fn validate_json(doc: &str) -> Result<(), String> {
     json::validate_with_keys(
         doc,
-        &[
-            "schema",
-            "records",
-            "service",
-            "trace",
-            "sharded",
-            "chaselev_vs_simple",
-            "wall_ns_median",
-            "caveat",
-        ],
+        &["schema", "records", "service", "trace", "sharded", "wall_ns_median", "caveat"],
     )
 }
 
@@ -1710,10 +1652,10 @@ pub fn append_trajectory(existing: Option<&str>, row: Json) -> Result<String, St
 mod tests {
     use super::*;
 
-    fn record(backend: &str, threads: usize, wall: u64) -> BenchRecord {
+    fn record(workload: &str, threads: usize, wall: u64) -> BenchRecord {
         BenchRecord {
-            workload: "recursive-sum".into(),
-            backend: backend.into(),
+            workload: workload.into(),
+            backend: "chaselev".into(),
             threads,
             wall_ns_median: wall,
             wall_ns_min: wall - 10,
@@ -1747,11 +1689,15 @@ mod tests {
     }
 
     fn tiny_records() -> Vec<BenchRecord> {
-        vec![record("chaselev", 4, 100), record("simple", 4, 150)]
+        vec![record("recursive-sum", 4, 100), record("matmul", 4, 150)]
     }
 
     fn gate_records() -> Vec<BenchRecord> {
-        vec![record("chaselev", 1, 1000), record("chaselev", 4, 800), record("simple", 1, 1500)]
+        vec![
+            record("recursive-sum", 1, 1000),
+            record("recursive-sum", 4, 800),
+            record("matmul", 1, 1500),
+        ]
     }
 
     #[test]
@@ -1759,7 +1705,7 @@ mod tests {
         let cfg = BenchConfig::for_size(SizeClass::Smoke);
         let doc = to_json(&cfg, &tiny_records(), &[]);
         validate_json(&doc).expect("emitted JSON must validate");
-        assert!(doc.contains("\"speedup\": 1.500000"));
+        assert!(doc.contains("\"schema\": \"rws-bench-native/v3\""), "{doc}");
     }
 
     #[test]
@@ -1771,15 +1717,6 @@ mod tests {
         let good = to_json(&cfg, &tiny_records(), &[]);
         let truncated = &good[..good.len() - 4];
         assert!(validate_json(truncated).is_err());
-    }
-
-    #[test]
-    fn comparisons_pair_backends() {
-        let cmps = comparisons(&tiny_records());
-        assert_eq!(cmps.len(), 1);
-        let (w, t, cl, simple, speedup) = &cmps[0];
-        assert_eq!((w.as_str(), *t, *cl, *simple), ("recursive-sum", 4, 100, 150));
-        assert!((speedup - 1.5).abs() < 1e-9);
     }
 
     #[test]
@@ -1798,14 +1735,14 @@ mod tests {
 
         // Dropping a whole (workload, backend) combination fails.
         let dropped: Vec<BenchRecord> =
-            records.iter().filter(|r| r.backend != "simple").cloned().collect();
+            records.iter().filter(|r| r.workload != "matmul").cloned().collect();
         let err = check_against(&to_json(&cfg, &dropped, &[]), &baseline).unwrap_err();
         assert!(err.contains("silently dropped"), "{err}");
 
         // Dropping one thread-count row of one combination breaks count uniformity.
         let mut uneven = records.clone();
         uneven.extend(records.iter().map(|r| BenchRecord { threads: 8, ..r.clone() }));
-        uneven.remove(1); // "simple" now has 1 row where "chaselev" has 2
+        uneven.remove(1); // "matmul" now has 1 row where "recursive-sum" has 2
         let err = check_against(&to_json(&cfg, &uneven, &[]), &baseline).unwrap_err();
         assert!(err.contains("thread-count row"), "{err}");
 
@@ -1817,7 +1754,7 @@ mod tests {
         assert!(err.contains("field set"), "{err}");
 
         // A different schema tag fails.
-        let other_tag = baseline.replacen("rws-bench-native/v2", "rws-bench-native/v3", 1);
+        let other_tag = baseline.replacen("rws-bench-native/v3", "rws-bench-native/v4", 1);
         assert!(check_against(&other_tag, &baseline).unwrap_err().contains("schema"));
     }
 
@@ -1881,8 +1818,8 @@ mod tests {
         // null. All of it must be ignored — the baseline's structure is still fully there.
         let extended = to_json_full(&cfg, &records, &service, Some(&trace_record(1000, 1100)), &[])
             .replacen(
-                "\"schema\": \"rws-bench-native/v2\",",
-                "\"schema\": \"rws-bench-native/v2\",\n  \"future_section\": 1,",
+                "\"schema\": \"rws-bench-native/v3\",",
+                "\"schema\": \"rws-bench-native/v3\",\n  \"future_section\": 1,",
                 1,
             )
             .replace("\"parks\": 2,", "\"parks\": 2,\n      \"future_counter\": 7,")
@@ -1956,7 +1893,7 @@ mod tests {
         // The CI smoke path in miniature: tiny sizes, one thread count, validated output.
         let cfg = BenchConfig { size: SizeClass::Smoke, threads: vec![2], repeats: 1, warmup: 1 };
         let records = run_suite(&cfg, || 0);
-        assert_eq!(records.len(), 11 * 2, "11 workloads x 2 backends");
+        assert_eq!(records.len(), 11, "11 workloads, one chaselev row each");
         assert!(records.iter().all(|r| r.jobs > 0), "every run must execute forks");
         let doc = to_json(&cfg, &records, &[]);
         validate_json(&doc).expect("smoke suite JSON must validate");

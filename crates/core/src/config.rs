@@ -1,9 +1,7 @@
 //! Scheduler simulation parameters (everything that is not part of the machine model).
 
-use serde::{Deserialize, Serialize};
-
 /// Simulation options for one scheduler run.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimConfig {
     /// Seed of the pseudo-random number generator driving victim selection. Runs with the
     /// same seed, machine and dag are bit-for-bit reproducible.

@@ -5,12 +5,11 @@
 //! from the *top*, so the oldest (largest) outstanding forked task is taken first.
 
 use rws_dag::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One stealable entry: the right child of a fork, together with enough information for a
 /// thief to reconstruct the execution context.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DequeEntry {
     /// The task instance that performed the fork.
     pub owner_task: u32,

@@ -12,7 +12,6 @@
 //! module works in the log2 domain throughout.
 
 use rws_dag::{NodeId, SpDag, SpStructure, WorkUnit};
-use serde::{Deserialize, Serialize};
 
 /// Heights `h(u)` (in units of the steal cost `s`) of the *entry vertex* of every dag node,
 /// measured to the end of the whole computation (not just the node's subtree).
@@ -125,7 +124,7 @@ pub fn log2_sum_exp2(exponents: &[f64]) -> f64 {
 }
 
 /// One sample of the potential function during a run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PotentialSample {
     /// Simulated time of the sample.
     pub time: u64,

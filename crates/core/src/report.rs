@@ -3,10 +3,9 @@
 use crate::potential::PotentialSample;
 use rws_dag::NodeId;
 use rws_machine::{MachineConfig, MemStats, ProcId};
-use serde::{Deserialize, Serialize};
 
 /// One successful steal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StealEvent {
     /// Simulated time at which the steal completed.
     pub time: u64,
@@ -21,7 +20,7 @@ pub struct StealEvent {
 }
 
 /// Aggregate results of a run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// The machine the run was simulated on.
     pub machine: Option<MachineConfig>,

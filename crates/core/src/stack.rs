@@ -7,10 +7,9 @@
 //! same addresses — the reuse that Lemma 4.4 has to reason about.
 
 use rws_machine::addr::STACK_REGION_BASE;
-use serde::{Deserialize, Serialize};
 
 /// A task's private stack region.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskStack {
     /// First word of the region (block-aligned).
     pub base: u64,

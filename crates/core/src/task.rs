@@ -4,10 +4,9 @@
 use crate::stack::TaskStack;
 use rws_dag::NodeId;
 use rws_machine::ProcId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a task instance within one simulation run. Task 0 is the original task.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u32);
 
 impl TaskId {
@@ -18,7 +17,7 @@ impl TaskId {
 }
 
 /// How a task instance came into being.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TaskOrigin {
     /// The original task of the computation.
     Root,
@@ -32,7 +31,7 @@ pub enum TaskOrigin {
 }
 
 /// A control-flow frame of a task's walk over the dag.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Frame {
     /// Executing the children of a `Seq` node; `next` is the index of the child currently
     /// being executed.
@@ -57,7 +56,7 @@ pub enum Frame {
 
 /// One entry of a task's segment chain: a live execution-stack segment of an ancestor (or of
 /// the current node).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegEntry {
     /// Base word address of the segment.
     pub base: u64,

@@ -2,7 +2,6 @@
 //! local-variable (execution-stack) accesses.
 
 use rws_machine::{Access, Addr};
-use serde::{Deserialize, Serialize};
 
 /// A symbolic access to a local variable stored on an execution stack.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// accesses to ancestors' segments go to the victim's stack), so dag nodes refer to locals
 /// symbolically: `hops` ancestor segments up from the node that performs the access, at word
 /// `offset` within that segment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LocalAccess {
     /// How many segment-declaring ancestors to go up: `0` is the segment declared by the node
     /// performing the access (for leaves and forks), `1` is the nearest enclosing fork's
@@ -43,7 +42,7 @@ impl LocalAccess {
 /// Each node is a "size O(1) computation" in the paper; nothing in this crate enforces that
 /// (leaves of coarsened base cases carry more than O(1) work), but the classification
 /// metadata records the base-case granularity so the analysis can account for it.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WorkUnit {
     /// Number of unit-time operations performed (in addition to memory-access costs).
     pub ops: u64,

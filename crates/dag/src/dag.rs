@@ -3,7 +3,6 @@
 
 use crate::access::WorkUnit;
 use crate::node::{NodeId, SpNode, SpStructure};
-use serde::{Deserialize, Serialize};
 
 /// Errors detected while building or validating a dag.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -83,7 +82,7 @@ impl std::fmt::Display for DagError {
 impl std::error::Error for DagError {}
 
 /// A validated series-parallel dag.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpDag {
     nodes: Vec<SpNode>,
     root: NodeId,

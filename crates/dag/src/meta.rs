@@ -2,10 +2,9 @@
 //! paper's analysis depends on (Sections 4 and 6).
 
 use crate::dag::SpDag;
-use serde::{Deserialize, Serialize};
 
 /// How fast the recursive subproblem size shrinks — the `s(n)` of Definition 4.5.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Shrink {
     /// `s(n) = n / 2`.
     Half,
@@ -41,7 +40,7 @@ impl Shrink {
 }
 
 /// The local-space bound `Sl(n)` of Definition 4.6, as a symbolic function of the task size.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SpaceBound {
     /// `Sl(n) = Θ(1)` (tree-algorithm nodes).
     Constant,
@@ -67,7 +66,7 @@ impl SpaceBound {
 }
 
 /// The algorithm classes of Definitions 4.4, 4.5 and Section 6.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AlgoClass {
     /// Type 0: a sequential computation of constant size.
     Type0,
@@ -115,7 +114,7 @@ impl AlgoClass {
 }
 
 /// Structural metadata attached to a built computation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AlgoMeta {
     /// Human-readable algorithm name.
     pub name: String,
@@ -186,7 +185,7 @@ impl AlgoMeta {
 }
 
 /// A built computation: the dag plus its classification metadata.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Computation {
     /// The series-parallel dag.
     pub dag: SpDag,

@@ -1,11 +1,10 @@
 //! Nodes of a series-parallel dag.
 
 use crate::access::WorkUnit;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a node within its [`crate::SpDag`] arena.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -32,7 +31,7 @@ impl fmt::Debug for NodeId {
 ///   execute in parallel; the corresponding join node `join` executes after both complete.
 ///   The fork declares a segment of `seg_words` words which lives until the join completes
 ///   (this is the segment σ_v of Section 4; the join writes the children's results into it).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SpStructure {
     /// A sequential leaf computation.
     Leaf {
@@ -68,7 +67,7 @@ pub enum SpStructure {
 
 /// A node of the dag: its structure plus an optional user tag (handy for attributing
 /// steals or misses to algorithm-level subproblems in experiments).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpNode {
     /// Series-parallel structure and work of this node.
     pub structure: SpStructure,

@@ -10,10 +10,9 @@ use crate::access::WorkUnit;
 use crate::dag::SpDag;
 use crate::node::{NodeId, SpStructure};
 use rws_machine::{Access, Addr, MachineConfig, MemorySystem, ProcId};
-use serde::{Deserialize, Serialize};
 
 /// Results of a sequential trace.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SequentialCosts {
     /// Total operation count `W`.
     pub work: u64,

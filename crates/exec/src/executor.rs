@@ -130,29 +130,25 @@ impl Executor for SimExecutor {
 /// native runs for timing only.
 pub struct NativeExecutor {
     pool: Arc<ThreadPool>,
-    backend_kind: DequeBackend,
 }
 
 impl NativeExecutor {
-    /// A pool with `threads` workers on the default (crossbeam-style) deque backend.
+    /// A pool with `threads` workers on the Chase–Lev deque.
     pub fn new(threads: usize) -> Self {
-        Self::with_backend(threads, DequeBackend::Crossbeam)
+        Self::with_options(threads, DequeBackend::Crossbeam, None)
     }
 
-    /// A pool with `threads` workers on the chosen deque backend.
-    pub fn with_backend(threads: usize, backend: DequeBackend) -> Self {
-        Self::with_options(threads, backend, None)
-    }
-
-    /// A pool with `threads` workers, the chosen deque backend, and (optionally) the
-    /// flight recorder enabled with `trace` event slots per lane (see
-    /// [`rws_runtime::pool::ThreadPoolBuilder::trace`]).
-    pub fn with_options(threads: usize, backend: DequeBackend, trace: Option<usize>) -> Self {
-        let mut builder = ThreadPoolBuilder::new().threads(threads).backend(backend);
+    /// A pool with `threads` workers and (optionally) the flight recorder enabled with
+    /// `trace` event slots per lane (see [`rws_runtime::pool::ThreadPoolBuilder::trace`]).
+    ///
+    /// `DequeBackend` has a single variant; the parameter is kept only because the
+    /// benchmark (`perfbench`) calls this signature.
+    pub fn with_options(threads: usize, _backend: DequeBackend, trace: Option<usize>) -> Self {
+        let mut builder = ThreadPoolBuilder::new().threads(threads);
         if let Some(capacity) = trace {
             builder = builder.trace(capacity);
         }
-        NativeExecutor { pool: Arc::new(builder.build()), backend_kind: backend }
+        NativeExecutor { pool: Arc::new(builder.build()) }
     }
 
     /// The underlying pool.
@@ -169,11 +165,7 @@ impl NativeExecutor {
 
 impl Executor for NativeExecutor {
     fn name(&self) -> String {
-        let backend = match self.backend_kind {
-            DequeBackend::Crossbeam => "crossbeam",
-            DequeBackend::Simple => "simple",
-        };
-        format!("native({backend},t={})", self.procs())
+        format!("native(crossbeam,t={})", self.procs())
     }
 
     fn backend(&self) -> Backend {

@@ -1,11 +1,10 @@
 //! The normalized execution report shared by all backends.
 
 use rws_core::RunReport;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Which kind of backend produced a report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// The discrete-event simulator of `rws-core` (time in simulated ticks).
     Simulated,
@@ -29,7 +28,7 @@ impl Backend {
 /// Sharded-run detail preserved alongside the normalized counters, mirroring how
 /// [`ExecReport::sim`] keeps the full simulator report: how the coordinator partitioned
 /// the workload, how dispatch went, and what failure handling happened.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardDetail {
     /// Worker subprocesses the coordinator spawned.
     pub shards: usize,
@@ -62,7 +61,7 @@ pub struct ShardDetail {
 /// was it (`procs`), how much scheduling happened (`steals`), how much work ran
 /// (`work_items`), how long it took (`time_units`) — into one shape, and keeps the full
 /// simulator report for backend-specific detail.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExecReport {
     /// The backend that produced this report.
     pub backend: Backend,

@@ -1,9 +1,9 @@
 //! The workspace's one JSON writer and structural validator.
 //!
-//! The vendored `serde` is a no-op API marker (this build environment is offline), so JSON
-//! emission is hand-rolled — but hand-rolled *once*, here. Every emitter in the workspace
-//! (`rws-lab` reports, `rws-bench`'s `BENCH_native.json`) builds a [`Json`] value tree and
-//! renders it through this module, so there is exactly one escaping and one
+//! The workspace has no serialization dependency, so JSON emission is hand-rolled — but
+//! hand-rolled *once*, here. Every emitter in the workspace (`rws-lab` reports,
+//! `rws-bench`'s `BENCH_native.json`) builds a [`Json`] value tree and renders it
+//! through this module, so there is exactly one escaping and one
 //! number-formatting path, and one [`validate`] routine that CI runs over everything that
 //! lands on disk.
 //!

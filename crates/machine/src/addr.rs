@@ -7,19 +7,18 @@
 //! execution-stack storage, and stack allocations for different tasks are made in block-sized
 //! disjoint units.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A word address in the simulated shared memory.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr(pub u64);
 
 /// Identifier of a block (cache line): `addr / B`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u64);
 
 /// Identifier of a simulated processor, `0..p`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub usize);
 
 /// Base word address of the execution-stack region.
@@ -30,7 +29,7 @@ pub struct ProcId(pub usize);
 pub const STACK_REGION_BASE: u64 = 1 << 40;
 
 /// The region of the address space an address belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Region {
     /// Global arrays: algorithm inputs, outputs and other shared data.
     Global,

@@ -3,11 +3,10 @@
 //! Definition 4.1).
 
 use crate::addr::{BlockId, ProcId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A small growable bit set over processor ids.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProcSet {
     words: Vec<u64>,
 }
@@ -78,7 +77,7 @@ impl ProcSet {
 }
 
 /// The sharing state of one block as recorded by the directory.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlockState {
     /// Caches currently holding a (clean or dirty) copy.
     pub sharers: ProcSet,

@@ -1,14 +1,12 @@
 //! Machine configuration: the parameters `p`, `M`, `B`, `b`, `s` of the paper's model.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the simulated machine.
 ///
 /// The names follow the paper: `p` processors, each with a private cache of `M` words split
 /// into blocks (cache lines) of `B` words; a cache miss costs `b` time units; a successful
 /// steal costs `s` time units and an unsuccessful one `s_fail <= s` time units (the paper
 /// allows unsuccessful steals to be cheaper, Section 5). The paper assumes `s >= b`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Number of processors `p`.
     pub procs: usize,

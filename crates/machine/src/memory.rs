@@ -6,10 +6,9 @@ use crate::cache::Cache;
 use crate::coherence::Directory;
 use crate::config::MachineConfig;
 use crate::stats::MemStats;
-use serde::{Deserialize, Serialize};
 
 /// A single memory access by one processor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Access {
     /// Word address accessed.
     pub addr: Addr,
@@ -30,7 +29,7 @@ impl Access {
 }
 
 /// Classification of a miss.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MissKind {
     /// The block was never resident in this processor's cache.
     Cold,
@@ -57,7 +56,7 @@ impl MissKind {
 }
 
 /// The result of one access.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// The block that was accessed.
     pub block: BlockId,

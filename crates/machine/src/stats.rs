@@ -1,11 +1,10 @@
 //! Counters for cache misses, block misses, false sharing and block transfers.
 
 use crate::addr::ProcId;
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Per-processor memory-system counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProcStats {
     /// Accesses served from the private cache.
     pub hits: u64,
@@ -72,7 +71,7 @@ impl AddAssign for ProcStats {
 }
 
 /// Aggregate memory-system counters for a whole simulation.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Per-processor counters, indexed by processor id.
     pub per_proc: Vec<ProcStats>,

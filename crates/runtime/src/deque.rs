@@ -1,160 +1,13 @@
-//! Work-stealing deques: the paper's work queue (bottom push/pop for the owner, top steals
-//! for thieves), in two implementations.
+//! The pool's work-stealing deque selector. Every worker owns one lock-free Chase–Lev deque
+//! (the vendored `crossbeam-deque`): the owner pushes and pops at the bottom, thieves steal
+//! from the top — the paper's work queue.
 
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::Arc;
-
-/// Which deque implementation the pool uses.
+/// Which deque implementation the pool uses. There is one: the Chase–Lev deque. The enum is
+/// kept only so the benchmark's `NativeExecutor::with_options(threads, backend, trace)` call
+/// keeps compiling; no pool reads it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DequeBackend {
-    /// The `crossbeam-deque` lock-free Chase–Lev deque (baseline).
+    /// The `crossbeam-deque` lock-free Chase–Lev deque.
     #[default]
     Crossbeam,
-    /// Our own mutex-protected deque ([`SimpleDeque`]).
-    Simple,
-}
-
-/// A mutex-protected double-ended work queue with owner/thief semantics.
-///
-/// The owner pushes and pops at the bottom (LIFO); thieves steal from the top (FIFO), so the
-/// oldest — in recursive computations the largest — task is stolen first, exactly as the
-/// paper's model requires.
-#[derive(Debug, Default)]
-pub struct SimpleDeque<T> {
-    inner: Mutex<VecDeque<T>>,
-}
-
-impl<T> SimpleDeque<T> {
-    /// Create an empty deque.
-    pub fn new() -> Self {
-        SimpleDeque { inner: Mutex::new(VecDeque::new()) }
-    }
-
-    /// Push a task at the bottom (owner side).
-    pub fn push_bottom(&self, value: T) {
-        self.inner.lock().push_back(value);
-    }
-
-    /// Pop the most recently pushed task (owner side).
-    pub fn pop_bottom(&self) -> Option<T> {
-        self.inner.lock().pop_back()
-    }
-
-    /// Steal the oldest task (thief side).
-    pub fn steal_top(&self) -> Option<T> {
-        self.inner.lock().pop_front()
-    }
-
-    /// Steal up to half the queued tasks (never more than `max`) from the top: the oldest
-    /// task is returned directly, the rest — still oldest-first — in the overflow vector
-    /// for the thief to queue locally. One lock acquisition covers the whole batch, and the
-    /// victim's lock is released before the caller touches any other deque — two thieves
-    /// batch-stealing from each other can therefore never deadlock.
-    pub fn steal_top_batch(&self, max: usize) -> Option<(T, Vec<T>)> {
-        let mut q = self.inner.lock();
-        let take = q.len().div_ceil(2).min(max.max(1));
-        let first = q.pop_front()?;
-        let rest: Vec<T> = (1..take).map_while(|_| q.pop_front()).collect();
-        drop(q);
-        Some((first, rest))
-    }
-
-    /// Number of queued tasks.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Whether the deque is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
-}
-
-/// A clonable handle to a [`SimpleDeque`] (used as the stealer side).
-pub type SharedDeque<T> = Arc<SimpleDeque<T>>;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::thread;
-
-    #[test]
-    fn owner_lifo_thief_fifo() {
-        let d = SimpleDeque::new();
-        d.push_bottom(1);
-        d.push_bottom(2);
-        d.push_bottom(3);
-        assert_eq!(d.steal_top(), Some(1));
-        assert_eq!(d.pop_bottom(), Some(3));
-        assert_eq!(d.pop_bottom(), Some(2));
-        assert_eq!(d.pop_bottom(), None);
-        assert_eq!(d.steal_top(), None);
-    }
-
-    #[test]
-    fn steal_top_batch_takes_the_oldest_half() {
-        let d = SimpleDeque::new();
-        for i in 0..10 {
-            d.push_bottom(i);
-        }
-        let (first, rest) = d.steal_top_batch(32).expect("non-empty");
-        assert_eq!(first, 0, "the directly returned task is the oldest");
-        assert_eq!(rest, vec![1, 2, 3, 4], "ceil(10/2) = 5 total, order preserved");
-        assert_eq!(d.len(), 5, "the victim keeps the newer half");
-        // `max` caps the batch; an empty deque yields None.
-        let (first, rest) = d.steal_top_batch(2).expect("non-empty");
-        assert_eq!((first, rest.len()), (5, 1));
-        while d.steal_top_batch(8).is_some() {}
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let d = SimpleDeque::new();
-        assert!(d.is_empty());
-        d.push_bottom(5);
-        assert_eq!(d.len(), 1);
-        assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn concurrent_steals_take_each_item_exactly_once() {
-        let d: SharedDeque<usize> = Arc::new(SimpleDeque::new());
-        let total = 10_000usize;
-        for i in 0..total {
-            d.push_bottom(i);
-        }
-        let taken = Arc::new(AtomicUsize::new(0));
-        let sum = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let d = Arc::clone(&d);
-            let taken = Arc::clone(&taken);
-            let sum = Arc::clone(&sum);
-            handles.push(thread::spawn(move || {
-                while let Some(v) = d.steal_top() {
-                    taken.fetch_add(1, Ordering::Relaxed);
-                    sum.fetch_add(v, Ordering::Relaxed);
-                }
-            }));
-        }
-        // The "owner" pops from the bottom concurrently.
-        let mut owner_taken = 0usize;
-        let mut owner_sum = 0usize;
-        while let Some(v) = d.pop_bottom() {
-            owner_taken += 1;
-            owner_sum += v;
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(taken.load(Ordering::Relaxed) + owner_taken, total);
-        assert_eq!(
-            sum.load(Ordering::Relaxed) + owner_sum,
-            total * (total - 1) / 2,
-            "every queued value is executed exactly once"
-        );
-    }
 }

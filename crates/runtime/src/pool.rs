@@ -16,13 +16,12 @@
 #![allow(unsafe_code)]
 
 use crate::cancel;
-use crate::deque::{DequeBackend, SimpleDeque};
 use crate::faults::{FaultPlan, WorkerFault};
 use crate::health::HealthMonitor;
 use crate::job::{Job, JoinResult, Latch, StackJob};
 use crate::sleep::{Sleep, SleepBackoff};
 use crate::stats::PoolStats;
-use crossbeam_deque::{Injector, Steal, Stealer, Worker as CbWorker, MAX_BATCH};
+use crossbeam_deque::{Injector, Steal, Stealer, Worker as CbWorker};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use rws_trace::{
     EventKind, JobKind, TraceRecorder, TraceSnapshot, INJECTOR_ARG, LADDER_STAGE_PARK,
@@ -45,8 +44,6 @@ pub(crate) struct Shared {
     /// Behind `RwLock` so the supervisor can swap in a respawned worker's fresh stealer;
     /// steal-path readers share the lock and only ever contend during a respawn.
     cb_stealers: Vec<RwLock<Stealer<Job>>>,
-    simple_deques: Vec<Arc<SimpleDeque<Job>>>,
-    backend: DequeBackend,
     stats: PoolStats,
     pub(crate) sleep: Sleep,
     backoff: SleepBackoff,
@@ -89,13 +86,7 @@ impl Shared {
         if !self.injector.is_empty() {
             return true;
         }
-        match self.backend {
-            DequeBackend::Crossbeam => self
-                .cb_stealers
-                .iter()
-                .any(|s| !s.read().unwrap_or_else(|e| e.into_inner()).is_empty()),
-            DequeBackend::Simple => self.simple_deques.iter().any(|d| !d.is_empty()),
-        }
+        self.cb_stealers.iter().any(|s| !s.read().unwrap_or_else(|e| e.into_inner()).is_empty())
     }
 
     /// The pool's statistics (service-layer access path).
@@ -117,8 +108,7 @@ impl Shared {
 pub(crate) struct WorkerHandle {
     index: usize,
     pub(crate) shared: Arc<Shared>,
-    cb_local: Option<CbWorker<Job>>,
-    simple_local: Option<Arc<SimpleDeque<Job>>>,
+    cb_local: CbWorker<Job>,
     rng: RefCell<SmallRng>,
 }
 
@@ -145,21 +135,13 @@ impl WorkerHandle {
     }
 
     pub(crate) fn push_local(&self, job: Job) {
-        match self.shared.backend {
-            DequeBackend::Crossbeam => self.cb_local.as_ref().expect("crossbeam worker").push(job),
-            DequeBackend::Simple => {
-                self.simple_local.as_ref().expect("simple deque").push_bottom(job)
-            }
-        }
+        self.cb_local.push(job);
         // One relaxed load when the pool is busy; a real wakeup only if somebody parked.
         self.shared.sleep.notify();
     }
 
     fn pop_local(&self) -> Option<Job> {
-        match self.shared.backend {
-            DequeBackend::Crossbeam => self.cb_local.as_ref().expect("crossbeam worker").pop(),
-            DequeBackend::Simple => self.simple_local.as_ref().expect("simple deque").pop_bottom(),
-        }
+        self.cb_local.pop()
     }
 
     /// One batch-steal visit to `victim`: up to half its queue (capped at the deque's
@@ -169,30 +151,11 @@ impl WorkerHandle {
     /// poppable *and* still stealable by everyone else. Returns the popped job and the
     /// total number of jobs moved.
     fn steal_from(&self, victim: usize) -> Steal<(Job, u64)> {
-        match self.shared.backend {
-            DequeBackend::Crossbeam => {
-                let local = self.cb_local.as_ref().expect("crossbeam worker");
-                let stealer =
-                    self.shared.cb_stealers[victim].read().unwrap_or_else(|e| e.into_inner());
-                match stealer.steal_batch_and_pop_counted(local) {
-                    Steal::Success((job, k)) => Steal::Success((job, k as u64)),
-                    Steal::Empty => Steal::Empty,
-                    Steal::Retry => Steal::Retry,
-                }
-            }
-            DequeBackend::Simple => {
-                match self.shared.simple_deques[victim].steal_top_batch(MAX_BATCH) {
-                    Some((job, rest)) => {
-                        let k = 1 + rest.len() as u64;
-                        let local = self.simple_local.as_ref().expect("simple deque");
-                        for j in rest {
-                            local.push_bottom(j);
-                        }
-                        Steal::Success((job, k))
-                    }
-                    None => Steal::Empty,
-                }
-            }
+        let stealer = self.shared.cb_stealers[victim].read().unwrap_or_else(|e| e.into_inner());
+        match stealer.steal_batch_and_pop_counted(&self.cb_local) {
+            Steal::Success((job, k)) => Steal::Success((job, k as u64)),
+            Steal::Empty => Steal::Empty,
+            Steal::Retry => Steal::Retry,
         }
     }
 
@@ -428,7 +391,6 @@ fn worker_loop(handle: Rc<WorkerHandle>) {
 #[derive(Clone, Debug)]
 pub struct ThreadPoolBuilder {
     threads: usize,
-    backend: DequeBackend,
     backoff: SleepBackoff,
     faults: Option<Arc<FaultPlan>>,
     trace: Option<usize>,
@@ -438,7 +400,6 @@ impl Default for ThreadPoolBuilder {
     fn default() -> Self {
         ThreadPoolBuilder {
             threads: num_threads_default(),
-            backend: DequeBackend::Crossbeam,
             backoff: SleepBackoff::default(),
             faults: None,
             trace: None,
@@ -459,12 +420,6 @@ impl ThreadPoolBuilder {
     /// Number of worker threads.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Which deque implementation to use.
-    pub fn backend(mut self, backend: DequeBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -493,7 +448,7 @@ impl ThreadPoolBuilder {
 
     /// Build and start the pool.
     pub fn build(self) -> ThreadPool {
-        ThreadPool::with_config(self.threads, self.backend, self.backoff, self.faults, self.trace)
+        ThreadPool::with_config(self.threads, self.backoff, self.faults, self.trace)
     }
 }
 
@@ -516,15 +471,13 @@ pub struct RespawnReport {
 
 /// Start one worker thread for slot `index`. `cb_local` is the worker end of the slot's
 /// Chase–Lev deque; its matching stealer must already be published in
-/// `shared.cb_stealers[index]` (the Simple backend shares `simple_deques` instead and
-/// ignores the crossbeam deque).
+/// `shared.cb_stealers[index]`.
 fn spawn_worker(
     shared: &Arc<Shared>,
     index: usize,
     cb_local: CbWorker<Job>,
 ) -> thread::JoinHandle<()> {
     let shared_for_worker = Arc::clone(shared);
-    let simple_local = Arc::clone(&shared.simple_deques[index]);
     thread::Builder::new()
         .name(format!("rws-worker-{index}"))
         .spawn(move || {
@@ -533,8 +486,7 @@ fn spawn_worker(
             let handle = Rc::new(WorkerHandle {
                 index,
                 shared: shared_for_worker,
-                cb_local: Some(cb_local),
-                simple_local: Some(simple_local),
+                cb_local,
                 rng: RefCell::new(SmallRng::seed_from_u64(0x9E3779B9 + index as u64)),
             });
             worker_loop(handle);
@@ -543,14 +495,13 @@ fn spawn_worker(
 }
 
 impl ThreadPool {
-    /// A pool with `threads` workers and the lock-free Chase–Lev deque backend.
+    /// A pool with `threads` workers.
     pub fn new(threads: usize) -> Self {
-        Self::with_config(threads, DequeBackend::Crossbeam, SleepBackoff::default(), None, None)
+        Self::with_config(threads, SleepBackoff::default(), None, None)
     }
 
     fn with_config(
         threads: usize,
-        backend: DequeBackend,
         backoff: SleepBackoff,
         faults: Option<Arc<FaultPlan>>,
         trace: Option<usize>,
@@ -559,13 +510,9 @@ impl ThreadPool {
         let cb_workers: Vec<CbWorker<Job>> = (0..threads).map(|_| CbWorker::new_lifo()).collect();
         let cb_stealers: Vec<RwLock<Stealer<Job>>> =
             cb_workers.iter().map(|w| RwLock::new(w.stealer())).collect();
-        let simple_deques: Vec<Arc<SimpleDeque<Job>>> =
-            (0..threads).map(|_| Arc::new(SimpleDeque::new())).collect();
         let shared = Arc::new(Shared {
             injector: Injector::new(),
             cb_stealers,
-            simple_deques,
-            backend,
             stats: PoolStats::new(threads),
             sleep: Sleep::new(),
             backoff,
@@ -620,34 +567,23 @@ impl ThreadPool {
                 let _ = h.join();
             }
             let mut drained = 0u64;
-            let cb_local = match self.shared.backend {
-                DequeBackend::Crossbeam => {
-                    // Fresh deque for the replacement; publish its stealer, then drain the
-                    // dead worker's old deque through the stealer we just unseated.
-                    let fresh = CbWorker::new_lifo();
-                    let old_stealer = std::mem::replace(
-                        &mut *self.shared.cb_stealers[index]
-                            .write()
-                            .unwrap_or_else(|e| e.into_inner()),
-                        fresh.stealer(),
-                    );
-                    loop {
-                        match old_stealer.steal() {
-                            Steal::Success(job) => {
-                                drained += 1;
-                                self.shared.injector.push(job);
-                            }
-                            Steal::Empty => break,
-                            Steal::Retry => std::hint::spin_loop(),
-                        }
+            // Fresh deque for the replacement; publish its stealer, then drain the dead
+            // worker's old deque through the stealer we just unseated.
+            let cb_local = CbWorker::new_lifo();
+            let old_stealer = std::mem::replace(
+                &mut *self.shared.cb_stealers[index].write().unwrap_or_else(|e| e.into_inner()),
+                cb_local.stealer(),
+            );
+            loop {
+                match old_stealer.steal() {
+                    Steal::Success(job) => {
+                        drained += 1;
+                        self.shared.injector.push(job);
                     }
-                    fresh
+                    Steal::Empty => break,
+                    Steal::Retry => std::hint::spin_loop(),
                 }
-                // The Simple backend's deque is shared by Arc and survives its worker; the
-                // replacement picks the queued jobs right back up — nothing to drain. (The
-                // unused crossbeam deque built here is inert.)
-                DequeBackend::Simple => CbWorker::new_lifo(),
-            };
+            }
             if drained > 0 {
                 self.shared.sleep.notify_all_now();
             }
@@ -940,8 +876,8 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::time::{Duration, Instant};
 
-    fn parallel_sum(pool_threads: usize, backend: DequeBackend, n: u64) -> u64 {
-        let pool = ThreadPoolBuilder::new().threads(pool_threads).backend(backend).build();
+    fn parallel_sum(pool_threads: usize, n: u64) -> u64 {
+        let pool = ThreadPoolBuilder::new().threads(pool_threads).build();
         pool.install(move || recursive_sum(0, n))
     }
 
@@ -957,19 +893,19 @@ mod tests {
     #[test]
     fn recursive_sum_is_correct_on_crossbeam_backend() {
         let n = 200_000u64;
-        assert_eq!(parallel_sum(4, DequeBackend::Crossbeam, n), n * (n - 1) / 2);
+        assert_eq!(parallel_sum(4, n), n * (n - 1) / 2);
     }
 
     #[test]
-    fn recursive_sum_is_correct_on_simple_backend() {
+    fn recursive_sum_is_correct_on_an_odd_worker_count() {
         let n = 100_000u64;
-        assert_eq!(parallel_sum(3, DequeBackend::Simple, n), n * (n - 1) / 2);
+        assert_eq!(parallel_sum(3, n), n * (n - 1) / 2);
     }
 
     #[test]
     fn single_thread_pool_works() {
         let n = 50_000u64;
-        assert_eq!(parallel_sum(1, DequeBackend::Crossbeam, n), n * (n - 1) / 2);
+        assert_eq!(parallel_sum(1, n), n * (n - 1) / 2);
     }
 
     #[test]
@@ -1028,17 +964,15 @@ mod tests {
 
     #[test]
     fn batch_steal_counters_stay_consistent() {
-        for backend in [DequeBackend::Crossbeam, DequeBackend::Simple] {
-            let pool = ThreadPoolBuilder::new().threads(4).backend(backend).build();
-            let n = 1_000_000u64;
-            let total = pool.install(move || recursive_sum(0, n));
-            assert_eq!(total, n * (n - 1) / 2);
-            let stats = pool.stats();
-            // Every steal path is batch-aware, so the two task-level views agree, and a
-            // visit never moves fewer than one job.
-            assert_eq!(stats.total_jobs_stolen(), stats.total_steals(), "{backend:?}");
-            assert!(stats.total_batch_steals() <= stats.total_steals(), "{backend:?}");
-        }
+        let pool = ThreadPoolBuilder::new().threads(4).build();
+        let n = 1_000_000u64;
+        let total = pool.install(move || recursive_sum(0, n));
+        assert_eq!(total, n * (n - 1) / 2);
+        let stats = pool.stats();
+        // Every steal path is batch-aware, so the two task-level views agree, and a visit
+        // never moves fewer than one job.
+        assert_eq!(stats.total_jobs_stolen(), stats.total_steals());
+        assert!(stats.total_batch_steals() <= stats.total_steals());
     }
 
     #[test]

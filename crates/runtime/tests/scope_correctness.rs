@@ -1,43 +1,41 @@
 //! Correctness of the scoped-task API: borrow-friendly spawns, sibling completion around a
-//! panicking task, scope-local poisoning, and the parallel iterators built on top — on
-//! both deque backends, under oversubscription on the 1-CPU host.
+//! panicking task, scope-local poisoning, and the parallel iterators built on top, under
+//! oversubscription on the 1-CPU host.
 
-use rws_runtime::{scope, DequeBackend, ParSliceExt, ThreadPool, ThreadPoolBuilder};
+use rws_runtime::{scope, ParSliceExt, ThreadPool, ThreadPoolBuilder};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-fn pool(threads: usize, backend: DequeBackend) -> ThreadPool {
-    ThreadPoolBuilder::new().threads(threads).backend(backend).build()
+fn pool(threads: usize) -> ThreadPool {
+    ThreadPoolBuilder::new().threads(threads).build()
 }
 
 #[test]
 fn scoped_spawns_borrow_the_callers_frame_on_both_backends() {
-    for backend in [DequeBackend::Crossbeam, DequeBackend::Simple] {
-        let pool = pool(4, backend);
-        let total = pool.install(move || {
-            let data: Vec<u64> = (0..100_000).collect();
-            let mut partials = [0u64; 4];
-            {
-                let quarter = data.len() / 4;
-                let mut rest: &mut [u64] = &mut partials;
-                let mut parts = Vec::new();
-                for i in 0..4 {
-                    let (head, tail) = rest.split_at_mut(1);
-                    parts.push((head, &data[i * quarter..(i + 1) * quarter]));
-                    rest = tail;
-                }
-                scope(|s| {
-                    // Non-'static: every spawn borrows `data` and writes a disjoint
-                    // one-element window of `partials`.
-                    for (out, piece) in parts {
-                        s.spawn(move |_| out[0] = piece.iter().sum());
-                    }
-                });
+    let pool = pool(4);
+    let total = pool.install(move || {
+        let data: Vec<u64> = (0..100_000).collect();
+        let mut partials = [0u64; 4];
+        {
+            let quarter = data.len() / 4;
+            let mut rest: &mut [u64] = &mut partials;
+            let mut parts = Vec::new();
+            for i in 0..4 {
+                let (head, tail) = rest.split_at_mut(1);
+                parts.push((head, &data[i * quarter..(i + 1) * quarter]));
+                rest = tail;
             }
-            partials.iter().sum::<u64>()
-        });
-        assert_eq!(total, 100_000u64 * 99_999 / 2, "{backend:?}");
-    }
+            scope(|s| {
+                // Non-'static: every spawn borrows `data` and writes a disjoint
+                // one-element window of `partials`.
+                for (out, piece) in parts {
+                    s.spawn(move |_| out[0] = piece.iter().sum());
+                }
+            });
+        }
+        partials.iter().sum::<u64>()
+    });
+    assert_eq!(total, 100_000u64 * 99_999 / 2);
 }
 
 #[test]
@@ -121,26 +119,24 @@ fn deep_nested_scopes_work_under_oversubscription() {
 
 #[test]
 fn par_iter_layers_agree_with_sequential_references_on_both_backends() {
-    for backend in [DequeBackend::Crossbeam, DequeBackend::Simple] {
-        let pool = pool(3, backend);
-        let ok = pool.install(move || {
-            let data: Vec<i64> = (0..30_000).map(|i| (i * 7) % 23 - 11).collect();
-            // map_reduce against the sequential sum.
-            let expected: i64 = data.iter().sum();
-            let got = data.par_iter().map_reduce(|&x| x, |a, b| a + b, 0);
-            // par_iter_mut against a sequential transform.
-            let mut doubled = data.clone();
-            doubled.par_iter_mut().for_each(|v| *v *= 2);
-            let mut chunk_tags = vec![0usize; 30_000];
-            chunk_tags.par_chunks_mut(64).for_each_indexed(|i, part| {
-                part.iter_mut().for_each(|v| *v = i);
-            });
-            got == expected
-                && doubled.iter().zip(&data).all(|(&d, &x)| d == 2 * x)
-                && chunk_tags.iter().enumerate().all(|(j, &tag)| tag == j / 64)
+    let pool = pool(3);
+    let ok = pool.install(move || {
+        let data: Vec<i64> = (0..30_000).map(|i| (i * 7) % 23 - 11).collect();
+        // map_reduce against the sequential sum.
+        let expected: i64 = data.iter().sum();
+        let got = data.par_iter().map_reduce(|&x| x, |a, b| a + b, 0);
+        // par_iter_mut against a sequential transform.
+        let mut doubled = data.clone();
+        doubled.par_iter_mut().for_each(|v| *v *= 2);
+        let mut chunk_tags = vec![0usize; 30_000];
+        chunk_tags.par_chunks_mut(64).for_each_indexed(|i, part| {
+            part.iter_mut().for_each(|v| *v = i);
         });
-        assert!(ok, "{backend:?}");
-    }
+        got == expected
+            && doubled.iter().zip(&data).all(|(&d, &x)| d == 2 * x)
+            && chunk_tags.iter().enumerate().all(|(j, &tag)| tag == j / 64)
+    });
+    assert!(ok);
 }
 
 #[test]

@@ -11,13 +11,21 @@
 //! the p99 sits well under the 1ms backstop. Before the fix, nearly every sample in this
 //! setup waited out the full backstop (the pool is otherwise idle, so nothing else could
 //! wake the worker), making the old tail two orders of magnitude above the bound here.
+//!
+//! Both tests charge each sample only the backstop wakes *attributable* to it: the counter
+//! is read just before the submission and again inside the job, so timer ticks of the idle
+//! worker between samples (while the main thread waits for it to park) are not counted.
+//! The two tests hold one lock for their whole run, so their yield-spinning main threads
+//! never compete for the same CPUs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rws_runtime::ThreadPoolBuilder;
+use rws_runtime::{ThreadPool, ThreadPoolBuilder};
+
+/// Held by each test for its whole run: the two measurements never overlap.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Wait (bounded) until every worker of the pool is parked, so the next `spawn` must
 /// cross the sleep path rather than catching a still-spinning worker.
@@ -29,34 +37,61 @@ fn await_parked(pool: &rws_runtime::ThreadPool, workers: usize) {
     }
 }
 
+/// A one-worker pool, shared with the jobs so they can read its counters.
+fn one_worker_pool() -> Arc<ThreadPool> {
+    Arc::new(ThreadPoolBuilder::new().threads(1).build())
+}
+
+/// Backstop wakes between a submission and the start of its job: `at_submit` is the
+/// counter read just before the submission, and the job reads it again when it starts.
+fn spawn_and_count_backstops(pool: &Arc<ThreadPool>, job: impl FnOnce() + Send + 'static) -> u64 {
+    let (tx, rx) = mpsc::channel::<u64>();
+    let in_job = Arc::clone(pool);
+    let at_submit = pool.stats().total_backstop_wakes();
+    pool.spawn(move || {
+        let at_start = in_job.stats().total_backstop_wakes();
+        job();
+        let _ = tx.send(at_start);
+    });
+    rx.recv().expect("worker must run the job") - at_submit
+}
+
 #[test]
 fn submit_to_start_p99_beats_the_park_backstop() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const SAMPLES: usize = 300;
     // One worker: the single lane must be parked before each submission, so every sample
     // exercises the park -> inject -> wake edge and none can be served by a busy worker.
-    let pool = ThreadPoolBuilder::new().threads(1).build();
+    let pool = one_worker_pool();
     let (tx, rx) = mpsc::channel::<Duration>();
 
     let mut latencies = Vec::with_capacity(SAMPLES);
+    let mut backstops = 0;
     for _ in 0..SAMPLES {
         await_parked(&pool, 1);
         let tx = tx.clone();
         let submitted = Instant::now();
-        pool.spawn(move || {
+        backstops += spawn_and_count_backstops(&pool, move || {
             let _ = tx.send(submitted.elapsed());
         });
         latencies.push(rx.recv().expect("worker must run the job"));
     }
+    // The last job's closure, and with it its handle on the pool, is gone once the worker
+    // parks again: the pool is then dropped here, never on its own worker.
+    await_parked(&pool, 1);
 
     latencies.sort();
     let p99 = latencies[SAMPLES * 99 / 100 - 1];
     let worst = *latencies.last().unwrap();
     // The backstop timer is 1ms. A broadcast wake lands in the tens of microseconds even
-    // on a loaded CI box; asserting p99 < 1ms (with the max printed for forensics) fails
-    // loudly if submissions ever fall back to waiting out the timer again.
+    // on a loaded CI box; asserting p99 < 1ms (with the max and the attributable backstop
+    // count printed for forensics) fails loudly if submissions ever fall back to waiting
+    // out the timer again. A slow p99 with zero attributable backstop wakes is OS
+    // scheduling delay, not a missed wakeup.
     assert!(
         p99 < Duration::from_millis(1),
-        "submit-to-start p99 {p99:?} reaches the 1ms park backstop (max {worst:?}): \
+        "submit-to-start p99 {p99:?} reaches the 1ms park backstop (max {worst:?}, \
+         {backstops} of {SAMPLES} samples' wakes were backstop timeouts): \
          the submission path is missing wakeups again"
     );
 }
@@ -67,24 +102,23 @@ fn spawns_against_a_parked_pool_never_lean_on_the_backstop() {
     // notifications, not backstop timeouts. Parks themselves are fine — the worker goes
     // back to sleep after each job — but the backstop-wake delta over a run that only
     // ever wakes workers via `spawn` must stay near zero (a stray timer tick racing a
-    // submission is tolerated; "every wake is a timeout" is the bug).
-    let pool = ThreadPoolBuilder::new().threads(1).build();
+    // submission is tolerated; "every wake is a timeout" is the bug). Only the ticks
+    // between each submission and the start of its job are counted.
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let pool = one_worker_pool();
     let ran = Arc::new(AtomicU64::new(0));
     const ROUNDS: u64 = 100;
 
-    await_parked(&pool, 1);
-    let before = pool.stats().total_backstop_wakes();
+    let mut backstops = 0;
     for _ in 0..ROUNDS {
         await_parked(&pool, 1);
         let ran = Arc::clone(&ran);
-        let (tx, rx) = mpsc::channel::<()>();
-        pool.spawn(move || {
+        backstops += spawn_and_count_backstops(&pool, move || {
             ran.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(());
         });
-        rx.recv().expect("worker must run the job");
     }
-    let backstops = pool.stats().total_backstop_wakes() - before;
+    // As above: the pool must not be dropped by its own worker.
+    await_parked(&pool, 1);
 
     assert_eq!(ran.load(Ordering::Relaxed), ROUNDS);
     assert!(

@@ -5,14 +5,14 @@
 //! fork-join kernels (balanced trees, mostly-full frontiers) never stress:
 //!
 //! * correctness of the atomic-indegree task-graph runner on chain/burst shapes across
-//!   both deque backends and pool widths;
+//!   pool widths;
 //! * panic containment: a failing node unwinds out of `TaskGraph::run` without wedging
 //!   or poisoning the pool;
 //! * the satellite idle-path claim — steady-state DAG runs are driven by notifications,
 //!   not by the 1ms park-backstop timer (`PoolStats::total_backstop_wakes` stays flat).
 
 use rws_algos::taskgraph::{layered_random, workflow_native, workflow_reference, TaskGraph};
-use rws_runtime::{DequeBackend, InstallError, ThreadPoolBuilder};
+use rws_runtime::{InstallError, ThreadPoolBuilder};
 use std::sync::Arc;
 
 /// A spine of `spine` sequential nodes where every `every`-th spine node releases a burst
@@ -37,29 +37,25 @@ fn spine_with_bursts(spine: usize, every: usize, width: usize) -> TaskGraph {
     g
 }
 
-fn pool_shapes() -> Vec<(DequeBackend, usize)> {
-    [DequeBackend::Crossbeam, DequeBackend::Simple]
-        .into_iter()
-        .flat_map(|b| [1usize, 2, 4].map(move |t| (b, t)))
-        .collect()
-}
+/// Pool widths every DAG shape runs on.
+const POOL_WIDTHS: [usize; 3] = [1, 2, 4];
 
 #[test]
 fn chain_and_burst_workflows_match_the_reference_on_every_pool_shape() {
     // A nearly pure chain (one burst at the head) and a heavily burst-punctuated spine:
-    // the value semantics must come out schedule-independent on every backend × width.
+    // the value semantics must come out schedule-independent on every width.
     let graphs =
         [Arc::new(spine_with_bursts(800, 1000, 8)), Arc::new(spine_with_bursts(240, 20, 64))];
     for g in &graphs {
         let expected = workflow_reference(g);
-        for (backend, threads) in pool_shapes() {
-            let pool = ThreadPoolBuilder::new().threads(threads).backend(backend).build();
+        for threads in POOL_WIDTHS {
+            let pool = ThreadPoolBuilder::new().threads(threads).build();
             let g = Arc::clone(g);
             let got = pool.install(move || workflow_native(&g));
             assert_eq!(
                 got,
                 expected,
-                "{backend:?} x {threads} threads diverged on a {}-node graph",
+                "{threads} threads diverged on a {}-node graph",
                 graphs[0].len()
             );
         }
@@ -72,8 +68,8 @@ fn a_panicking_node_unwinds_cleanly_and_the_pool_survives() {
     // a structured error (with the original payload, not a pool-internal one), and the
     // same pool must then run a clean pass correctly — panics are quarantined per job,
     // never wedging a worker or leaking a poisoned deque.
-    for (backend, threads) in pool_shapes() {
-        let pool = ThreadPoolBuilder::new().threads(threads).backend(backend).build();
+    for threads in POOL_WIDTHS {
+        let pool = ThreadPoolBuilder::new().threads(threads).build();
         let g = Arc::new(spine_with_bursts(120, 10, 16));
         for round in 0..3 {
             let target = 55 + round; // vary the failing node across rounds
@@ -91,14 +87,14 @@ fn a_panicking_node_unwinds_cleanly_and_the_pool_survives() {
                     let msg = payload.downcast::<&'static str>().expect("the original payload");
                     assert_eq!(*msg, "injected node failure");
                 }
-                other => panic!("{backend:?} x {threads}: expected Panicked, got {other:?}"),
+                other => panic!("{threads} threads: expected Panicked, got {other:?}"),
             }
             // The pool is immediately reusable for a full, correct workflow pass.
             let gc = Arc::clone(&g);
             assert_eq!(
                 pool.install(move || workflow_native(&gc)),
                 workflow_reference(&g),
-                "{backend:?} x {threads}: clean run after an injected panic diverged"
+                "{threads} threads: clean run after an injected panic diverged"
             );
         }
     }

@@ -16,7 +16,7 @@ use rws_algos::listrank::{list_ranking_native, list_ranking_reference};
 use rws_algos::transpose::{
     bi_to_rm_native, rm_to_bi_native, transpose_native_bi, transpose_reference,
 };
-use rws_runtime::{join, DequeBackend, ThreadPoolBuilder};
+use rws_runtime::{join, ThreadPoolBuilder};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -34,36 +34,28 @@ fn complex_input(n: usize, rng: &mut SmallRng) -> Vec<Complex> {
 
 #[test]
 fn fft_survives_oversubscription_on_both_deque_backends() {
-    for backend in [DequeBackend::Crossbeam, DequeBackend::Simple] {
-        let pool = ThreadPoolBuilder::new().threads(OVERSUBSCRIBE).backend(backend).build();
-        for seed in [1u64, 42, 0xC0FFEE] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            // Large enough that one transform outlives the OS scheduling quantum handoffs
-            // of an oversubscribed 1-CPU host — a tiny fft completes on the installed
-            // worker before any thief even wakes.
-            let input = Arc::new(complex_input(4096, &mut rng));
-            let expected = fft_reference(&input);
-            let mut stolen = false;
-            for _ in 0..ATTEMPTS {
-                let steals0 = pool.stats().total_steals();
-                let on_pool = Arc::clone(&input);
-                let got = pool.install(move || fft_native(&on_pool, 16));
-                for (a, b) in got.iter().zip(&expected) {
-                    assert!(
-                        (a.0 - b.0).abs() < 1e-9 && (a.1 - b.1).abs() < 1e-9,
-                        "seed {seed}, backend {backend:?}"
-                    );
-                }
-                stolen = stolen || pool.stats().total_steals() > steals0;
-                if stolen {
-                    break;
-                }
+    let pool = ThreadPoolBuilder::new().threads(OVERSUBSCRIBE).build();
+    for seed in [1u64, 42, 0xC0FFEE] {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // Large enough that one transform outlives the OS scheduling quantum handoffs
+        // of an oversubscribed 1-CPU host — a tiny fft completes on the installed
+        // worker before any thief even wakes.
+        let input = Arc::new(complex_input(4096, &mut rng));
+        let expected = fft_reference(&input);
+        let mut stolen = false;
+        for _ in 0..ATTEMPTS {
+            let steals0 = pool.stats().total_steals();
+            let on_pool = Arc::clone(&input);
+            let got = pool.install(move || fft_native(&on_pool, 16));
+            for (a, b) in got.iter().zip(&expected) {
+                assert!((a.0 - b.0).abs() < 1e-9 && (a.1 - b.1).abs() < 1e-9, "seed {seed}");
             }
-            assert!(
-                stolen,
-                "no steal observed in {ATTEMPTS} oversubscribed fft runs (backend {backend:?})"
-            );
+            stolen = stolen || pool.stats().total_steals() > steals0;
+            if stolen {
+                break;
+            }
         }
+        assert!(stolen, "no steal observed in {ATTEMPTS} oversubscribed fft runs");
     }
 }
 
