@@ -24,7 +24,7 @@
 //! | [`matmul`] | depth-`n` matrix multiply, in-place and limited-access variants; depth-`log²n` 8-way matrix multiply (Section 3) | Type-2 HBP |
 //! | [`prefix`] | prefix sums as two BP tree passes (Section 6.1, Theorem 7.1(i)) | BP |
 //! | [`transpose`] | matrix transpose in bit-interleaved layout; RM→BI and BI→RM layout conversions (Sections 4.3, 7) | BP / Type-2 |
-//! | [`sort`] | an HBP merge sort (stand-in for the sample sort of \[7\]; see DESIGN.md) | Type-2 HBP |
+//! | [`sort`] | an HBP merge sort standing in for the sample sort of \[7\]: the same limited-access HBP structure, with `T∞ = O(log² n)` instead of `O(log n log log n)` | Type-2 HBP |
 //! | [`fft`] | FFT via the √n-decomposition (Theorem 7.1(iv)) | Type-2 HBP |
 //! | [`listrank`] | list ranking and connected components by iterated rounds (Section 7) | Type-3/4 |
 //! | [`taskgraph`] | arbitrary-dependency task graphs run natively by atomic indegree counting, plus the `dag-workflow` value semantics | irregular (measured-only) |

@@ -2,12 +2,12 @@
 //!
 //! The paper's sort is the resource-oblivious sample sort of \[7\] (√n-way decomposition,
 //! `T∞ = O(log n log log n)`). Reproducing that algorithm in full is out of scope for this
-//! repository (it is the subject of its own paper); as documented in DESIGN.md we substitute
+//! repository (it is the subject of its own paper), so this module substitutes
 //! an **HBP merge sort**: two recursive calls into a local array followed by a BP merge pass
 //! whose leaves write disjoint chunks of the destination. The substitution preserves the
 //! properties the analysis needs — limited access, top dominance, exactly linear space, c = 1
 //! collection of recursive calls — while its `T∞` is `O(log² n)` instead of
-//! `O(log n log log n)`; the steal-bound experiments therefore compare against the bound of
+//! `O(log n log log n)`; the lab's steal-bound check therefore compares against the bound of
 //! Theorem 6.3(i) instantiated for this recursion, which is the honest prediction for the
 //! algorithm actually built.
 

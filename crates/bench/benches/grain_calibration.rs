@@ -1,4 +1,4 @@
-//! Criterion bench: the grain sweep behind `par_iter`'s `MIN_SEQ_ELEMENTS = 64` floor.
+//! Bench: the grain sweep behind `par_iter`'s `MIN_SEQ_ELEMENTS = 64` floor.
 //!
 //! A cheap per-element `map_reduce` (one multiply-add per element) is the worst case for
 //! scheduling overhead: at grain 1 every element is its own fork, so the runtime's
@@ -6,42 +6,34 @@
 //! explicit grains bracketing the floor, plus the adaptive default, so the floor's value
 //! is pinned to the measured knee of the curve — below ~64 elements a leaf costs less
 //! than the fork that schedules it.
+//!
+//! Run with `cargo bench -p rws-bench --bench grain_calibration`; each grain prints the
+//! median and min of 10 timed reductions after one warm-up.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+mod support;
+
 use rws_runtime::{ParSliceExt, ThreadPool};
 
 const LEN: usize = 1 << 16;
 
-fn bench_grain_calibration(c: &mut Criterion) {
+fn main() {
     // `install` requires a 'static closure; leak the input once for the process lifetime.
     let data: &'static [u64] = Vec::leak((0..LEN as u64).collect());
     let expected: u64 = data.iter().map(|&x| x * 3 + 1).sum();
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get().clamp(2, 8));
     let pool = ThreadPool::new(threads);
 
-    let mut group = c.benchmark_group("grain_calibration");
-    group.sample_size(10);
     for grain in [1usize, 4, 16, 64, 256, 1024] {
-        group.bench_with_input(BenchmarkId::from_parameter(grain), &grain, |b, &grain| {
-            b.iter(|| {
-                let got = pool.install(move || {
-                    data.par_iter().with_grain(grain).map_reduce(|&x| x * 3 + 1, |a, b| a + b, 0)
-                });
-                assert_eq!(got, expected);
-                got
+        support::measure(&format!("grain_calibration/{grain}"), || {
+            let got = pool.install(move || {
+                data.par_iter().with_grain(grain).map_reduce(|&x| x * 3 + 1, |a, b| a + b, 0)
             });
+            assert_eq!(got, expected);
         });
     }
     // The adaptive default (no explicit grain): `adaptive_grain` with the floor applied.
-    group.bench_function("adaptive-floor-64", |b| {
-        b.iter(|| {
-            let got = pool.install(|| data.par_iter().map_reduce(|&x| x * 3 + 1, |a, b| a + b, 0));
-            assert_eq!(got, expected);
-            got
-        });
+    support::measure("grain_calibration/adaptive-floor-64", || {
+        let got = pool.install(|| data.par_iter().map_reduce(|&x| x * 3 + 1, |a, b| a + b, 0));
+        assert_eq!(got, expected);
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_grain_calibration);
-criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Criterion bench: sleep-protocol backoff schedule sweep behind the `SleepBackoff`
+//! Bench: sleep-protocol backoff schedule sweep behind the `SleepBackoff`
 //! defaults (`spin_rounds = 6`, `spin_cap_shift = 5`, `yield_rounds = 3`).
 //!
 //! The workload is a bursty fork-join tree: a recursive sum over a slice whose sequential
@@ -7,8 +7,12 @@
 //! burst; one that spins too long burns the (shared) core the producer needs. The sweep
 //! brackets the default with park-immediately, yield-only, and spin-heavy schedules so the
 //! chosen constants are a measured trade-off, not a guess.
+//!
+//! Run with `cargo bench -p rws-bench --bench sleep_backoff`; each schedule prints the
+//! median and min of 10 timed bursts after one warm-up.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+mod support;
+
 use rws_runtime::{join, SleepBackoff, ThreadPool, ThreadPoolBuilder};
 
 const LEN: usize = 1 << 14;
@@ -29,7 +33,7 @@ fn burst(pool: &ThreadPool, data: &'static [u64]) -> u64 {
     pool.install(|| recursive_sum(data))
 }
 
-fn bench_sleep_backoff(c: &mut Criterion) {
+fn main() {
     // `install` requires a 'static closure; leak the input once for the process lifetime.
     let data: &'static [u64] = Vec::leak((0..LEN as u64).collect());
     let expected: u64 = data.iter().sum();
@@ -42,20 +46,11 @@ fn bench_sleep_backoff(c: &mut Criterion) {
         ("spin-heavy", SleepBackoff { spin_rounds: 12, spin_cap_shift: 8, yield_rounds: 6 }),
     ];
 
-    let mut group = c.benchmark_group("sleep_backoff");
-    group.sample_size(10);
     for (name, backoff) in schedules {
         let pool = ThreadPoolBuilder::new().threads(threads).backoff(*backoff).build();
-        group.bench_with_input(BenchmarkId::from_parameter(name), &pool, |b, pool| {
-            b.iter(|| {
-                let got = burst(pool, data);
-                assert_eq!(got, expected);
-                got
-            });
+        support::measure(&format!("sleep_backoff/{name}"), || {
+            let got = burst(&pool, data);
+            assert_eq!(got, expected);
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_sleep_backoff);
-criterion_main!(benches);

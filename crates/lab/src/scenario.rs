@@ -21,14 +21,10 @@
 //! eagerly (unknown keys, malformed lists, sizes the dag builders would reject, checks that
 //! do not apply to the workload) so a scenario that parses is runnable end to end.
 
-use rws_exec::workloads::{
-    BfsWorkload, DagWorkflowWorkload, FftWorkload, ListRankWorkload, MatMulWorkload,
-    PrefixWorkload, SampleSortWorkload, SortWorkload, SpmvWorkload, TransposeWorkload,
-};
+use rws_exec::workloads::by_name;
 use rws_exec::SharedWorkload;
 use rws_machine::MachineConfig;
 use std::fmt;
-use std::sync::Arc;
 
 /// Which algorithm a scenario runs. Instances come from the deterministic `demo`
 /// constructors of `rws_exec::workloads`, so a scenario names a reproducible input.
@@ -114,20 +110,10 @@ impl WorkloadKind {
         matches!(self, WorkloadKind::MatMul | WorkloadKind::Spmv)
     }
 
-    /// Build the deterministic workload instance for size `n` (and `base` where used).
+    /// Build the deterministic workload instance for size `n` (and `base` where used),
+    /// through the `rws_exec::workloads::by_name` registry.
     pub fn instantiate(self, n: usize, base: usize) -> SharedWorkload {
-        match self {
-            WorkloadKind::PrefixSums => Arc::new(PrefixWorkload::demo(n)),
-            WorkloadKind::MatMul => Arc::new(MatMulWorkload::demo(n, base.min(n))),
-            WorkloadKind::MergeSort => Arc::new(SortWorkload::demo(n)),
-            WorkloadKind::Fft => Arc::new(FftWorkload::demo(n)),
-            WorkloadKind::Transpose => Arc::new(TransposeWorkload::demo(n, base.min(n))),
-            WorkloadKind::ListRank => Arc::new(ListRankWorkload::demo(n)),
-            WorkloadKind::DagWorkflow => Arc::new(DagWorkflowWorkload::demo(n)),
-            WorkloadKind::Bfs => Arc::new(BfsWorkload::demo(n)),
-            WorkloadKind::Spmv => Arc::new(SpmvWorkload::demo(n)),
-            WorkloadKind::SampleSort => Arc::new(SampleSortWorkload::demo(n)),
-        }
+        by_name(self.name(), n, base).expect("every canonical workload name is registered")
     }
 }
 
@@ -345,7 +331,13 @@ impl Scenario {
                     }
                 },
                 "n" => n = Some(parse_num(ln, "n", value)?),
-                "base" => base = Some(parse_num(ln, "base", value)?),
+                "base" => {
+                    let b: usize = parse_num(ln, "base", value)?;
+                    if !b.is_power_of_two() {
+                        return err(ln, format!("base = {b} must be a power of two ≥ 1"));
+                    }
+                    base = Some(b);
+                }
                 "backends" => {
                     let mut list = Vec::new();
                     for item in split_list(value) {
@@ -711,6 +703,8 @@ mod tests {
             ("name = x\nworkload = fft\nn = 64\nseeds = 1, nope", "expects a number"),
             ("name = x\nworkload = fft\nn = 64\nsteal_cost = 1", "invalid machine"),
             ("name = x\nworkload = merge-sort\nn = 64\nbase = 2", "picks its own"),
+            ("name = b0\nworkload = matmul\nn = 16\nbase = 0", "line 4: base = 0"),
+            ("name = x\nworkload = transpose\nn = 16\nbase = 3", "line 4: base = 3"),
             ("name = x\nworkload = bfs\nn = 64\nchecks = steals", "measured-only"),
             ("name = x\nworkload = dag-workflow\nn = 64\nchecks = runtime", "measured-only"),
             ("name = x\nworkload = sample-sort\nn = 64\nchecks = block-misses", "measured-only"),

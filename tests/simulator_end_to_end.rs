@@ -144,6 +144,31 @@ fn limited_access_matmul_incurs_fewer_false_sharing_misses_per_steal_than_in_pla
 }
 
 #[test]
+fn in_place_matmul_uses_the_least_stack_space() {
+    // Section 3 "Space Usage": the limited-access variants allocate local result arrays on
+    // their stacks, which the in-place variant does not, so it peaks strictly lower. The
+    // ordering between the two limited-access variants varies with p and the seed.
+    for n in [16usize, 32] {
+        let comp = |variant| matmul_computation(&MatMulConfig { n, base: 4, variant });
+        let in_place = comp(MmVariant::DepthNInPlace);
+        let others = [MmVariant::DepthNLimitedAccess, MmVariant::DepthLog2N].map(|v| (v, comp(v)));
+        for p in [1usize, 2, 4, 8] {
+            for seed in [11u64, 23, 47] {
+                let sched = RwsScheduler::new(machine(p), SimConfig::with_seed(seed));
+                let lowest = sched.run(&in_place).peak_stack_words;
+                for (variant, other) in &others {
+                    let words = sched.run(other).peak_stack_words;
+                    assert!(
+                        lowest < words,
+                        "n={n} p={p} seed={seed}: in-place peak {lowest} not below {variant:?} {words}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn reports_are_reproducible_for_a_fixed_seed() {
     let comp = sort_computation(&SortConfig::new(256));
     let sched = RwsScheduler::new(machine(4), SimConfig::with_seed(99));
