@@ -438,7 +438,7 @@ pub fn run_suite(cfg: &BenchConfig, alloc_count: impl Fn() -> u64) -> Vec<BenchR
 
 /// One service-mode measurement: streamed root jobs through a supervised [`JobServer`]
 /// instead of one `install`ed fork-join tree. These rows track the per-job pipeline cost
-/// (submission → MPMC injector → worker → settle) and the admission layer's behaviour
+/// (submission → injector → worker → settle) and the admission layer's behaviour
 /// under overload — the numbers the job-server subsystem exists to keep honest.
 #[derive(Clone, Debug)]
 pub struct ServiceBenchRecord {
@@ -1889,7 +1889,7 @@ mod tests {
     }
 
     #[test]
-    fn smoke_suite_runs_end_to_end_on_both_backends() {
+    fn smoke_suite_runs_end_to_end() {
         // The CI smoke path in miniature: tiny sizes, one thread count, validated output.
         let cfg = BenchConfig { size: SizeClass::Smoke, threads: vec![2], repeats: 1, warmup: 1 };
         let records = run_suite(&cfg, || 0);

@@ -30,8 +30,8 @@
 //!   fork-join machinery.
 //!
 //! On top of the pool sits a supervised **persistent job-server mode** ([`service`]): a
-//! long-lived [`JobServer`] accepting streamed root jobs through the lock-free MPMC
-//! injector, with panic quarantine and dead-worker respawn ([`pool`]'s supervision
+//! long-lived [`JobServer`] accepting streamed root jobs through the pool's injector (a
+//! locked FIFO queue whose empty probe is one atomic load), with panic quarantine and dead-worker respawn ([`pool`]'s supervision
 //! hooks), per-job deadlines via cooperative [`cancel`] tokens observed at fork points,
 //! bounded-queue admission control with load-shedding, and latency histograms
 //! ([`hist`]). A compiled-in, default-off fault-injection layer ([`faults`]) drives the

@@ -23,9 +23,7 @@ use crate::sleep::{Sleep, SleepBackoff};
 use crate::stats::PoolStats;
 use crossbeam_deque::{Injector, Steal, Stealer, Worker as CbWorker};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use rws_trace::{
-    EventKind, JobKind, TraceRecorder, TraceSnapshot, INJECTOR_ARG, LADDER_STAGE_PARK,
-};
+use rws_trace::{EventKind, JobKind, TraceRecorder, TraceSnapshot, LADDER_STAGE_PARK};
 use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
@@ -152,7 +150,7 @@ impl WorkerHandle {
     /// total number of jobs moved.
     fn steal_from(&self, victim: usize) -> Steal<(Job, u64)> {
         let stealer = self.shared.cb_stealers[victim].read().unwrap_or_else(|e| e.into_inner());
-        match stealer.steal_batch_and_pop_counted(&self.cb_local) {
+        match stealer.steal_batch_and_pop(&self.cb_local) {
             Steal::Success((job, k)) => Steal::Success((job, k as u64)),
             Steal::Empty => Steal::Empty,
             Steal::Retry => Steal::Retry,
@@ -173,27 +171,8 @@ impl WorkerHandle {
         if let Some(job) = self.pop_local() {
             return Some(job);
         }
-        // The MPMC injector can answer `Retry` under consumer contention; give it the same
-        // bounded courtesy the per-victim steal loop gets before moving on to stealing.
-        let mut retries = 0;
-        loop {
-            match self.shared.injector.steal() {
-                Steal::Success(job) => return Some(job),
-                Steal::Empty => break,
-                Steal::Retry => {
-                    if record_failures {
-                        self.shared.stats.record_retry(self.index);
-                        if let Some(t) = self.shared.trace() {
-                            t.record(self.index, EventKind::StealRetry, 0, INJECTOR_ARG);
-                        }
-                    }
-                    retries += 1;
-                    if retries >= STEAL_RETRIES {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-            }
+        if let Steal::Success(job) = self.shared.injector.steal() {
+            return Some(job);
         }
         let workers = self.shared.workers;
         if workers > 1 {
@@ -891,7 +870,7 @@ mod tests {
     }
 
     #[test]
-    fn recursive_sum_is_correct_on_crossbeam_backend() {
+    fn recursive_sum_is_correct_on_four_workers() {
         let n = 200_000u64;
         assert_eq!(parallel_sum(4, n), n * (n - 1) / 2);
     }

@@ -11,7 +11,7 @@ fn pool(threads: usize) -> ThreadPool {
 }
 
 #[test]
-fn scoped_spawns_borrow_the_callers_frame_on_both_backends() {
+fn scoped_spawns_borrow_the_callers_frame() {
     let pool = pool(4);
     let total = pool.install(move || {
         let data: Vec<u64> = (0..100_000).collect();
@@ -118,7 +118,7 @@ fn deep_nested_scopes_work_under_oversubscription() {
 }
 
 #[test]
-fn par_iter_layers_agree_with_sequential_references_on_both_backends() {
+fn par_iter_layers_agree_with_sequential_references() {
     let pool = pool(3);
     let ok = pool.install(move || {
         let data: Vec<i64> = (0..30_000).map(|i| (i * 7) % 23 - 11).collect();

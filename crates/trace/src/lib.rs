@@ -148,7 +148,9 @@ impl JobKind {
     }
 }
 
-/// `arg` value marking the global injector as the probed victim in steal events.
+/// `arg` value marking the global injector as the probed victim in steal events. The pool
+/// records none today: the injector is a locked queue that never loses a race (no
+/// [`EventKind::StealRetry`]), and its empty probe is not recorded.
 pub const INJECTOR_ARG: u64 = ARG_MASK;
 
 /// The `aux` ladder-stage code recorded on [`EventKind::Park`] events (spin and yield
