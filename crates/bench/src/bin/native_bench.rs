@@ -1,49 +1,41 @@
 //! Emit `BENCH_native.json`: the native hot-path benchmark of the lock-free Chase–Lev
 //! deque pool across workloads and thread counts, plus the service-mode rows (job-server
 //! throughput, shed rate, and p99 queue latency — see `run_service_suite`), the
-//! flight-recorder overhead row
-//! (`run_trace_overhead`: the same workload with tracing off and on, so the gate can prove
-//! the always-compiled recorder stays free when it is off), and the multi-process
-//! `sharded` rows (`run_sharded_suite`: shardable workloads across worker subprocesses vs
-//! in-process — needs the `shard-worker` binary, so build `rws-shard` first).
+//! flight-recorder overhead row (`run_trace_overhead`: the same workload with tracing off
+//! and on), and the multi-process `sharded` rows (`run_sharded_suite`: shardable workloads
+//! across worker subprocesses vs in-process — needs the `shard-worker` binary, so build
+//! `rws-shard` first).
 //!
 //! ```text
 //! native_bench [--size smoke|full] [--out PATH] [--threads 1,2,4] [--repeats N]
-//!              [--warmup N] [--check-against BASELINE.json]
-//!              [--gate BASELINE.json] [--delta-out PATH] [--tolerance F]
-//!              [--replay RUN.json] [--append-trajectory PATH] [--note STR]
+//!              [--warmup N] [--gate BASELINE.json] [--delta-out PATH] [--ab BASE_BIN]
 //! ```
 //!
 //! The process installs a counting global allocator so the suite can report
-//! allocations-per-fork (the "is `join` really allocation-free" trajectory number). After
+//! allocations-per-fork (the "is `join` really allocation-free" number). After
 //! writing, the document is re-read and structurally validated; any problem — malformed
 //! JSON, a panicking backend — exits nonzero, which is what the CI smoke step checks.
 //!
-//! `--check-against BASELINE.json` additionally diffs the freshly written document's
-//! *structure* against a committed baseline (every baseline record field present, every
-//! workload/backend combination present, uniform per-combination row counts), so a
-//! silently dropped workload row fails the build instead of shrinking the file unnoticed.
-//! The diff is forward-compatible: a run from a newer binary may carry extra sections and
-//! fields, but anything the baseline promises must still be there.
+//! `--gate BASELINE.json` checks the run against a committed baseline: its structure (no
+//! dropped section, workload or row; every run row has a baseline twin) and its
+//! deterministic counters, exactly. It reads no wall. The `rws-bench-delta/v2` document is
+//! written to `--delta-out` (default `BENCH_delta.json`), and any regression exits
+//! nonzero.
 //!
-//! `--gate BASELINE.json` runs the perf-regression gate: the run document is compared to
-//! the baseline under the `GateConfig` tolerances (`--tolerance` overrides the t=1 wall
-//! tolerance), the `rws-bench-delta/v1` delta document is written to `--delta-out`
-//! (default `BENCH_delta.json`), and any regression exits nonzero. `--replay RUN.json`
-//! gates a previously written run document instead of benchmarking again — CI uses it to
-//! prove the gate trips on a doctored run without re-measuring.
-//!
-//! `--append-trajectory PATH` appends a one-row summary of the run (t=1 chaselev medians,
-//! stamped with today's UTC date and `--note`) to the `rws-bench-trajectory/v1` history,
-//! creating the file on first use.
+//! `--ab BASE_BIN` (with `--gate`) gates the walls on this host instead: it runs `BASE_BIN`
+//! and this binary alternately as subprocesses with the same `--size/--threads/--repeats/
+//! --warmup`, `AB_PAIRS` whole-suite pairs in ABBA order, and fails a `threads = 1` wall
+//! only when this build is slower in nearly every pair by a clear margin. The first of this
+//! binary's documents is the one written to `--out` and checked by `--gate`.
 
-use rws_bench::native_bench::{
-    append_trajectory, check_against, gate_against, run_service_suite, run_sharded_suite,
-    run_suite, run_trace_overhead, to_json_full, trajectory_row, validate_json, BenchConfig,
-    GateConfig, SizeClass,
+use rws_bench::native_bench::gate::{ab_against, gate_against, AbRow, AB_PAIRS};
+use rws_bench::native_bench::suite::{
+    run_service_suite, run_sharded_suite, run_suite, run_trace_overhead, to_json_full,
+    validate_json, BenchConfig, SizeClass,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::process::ExitCode;
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitCode};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // NOTE: crates/runtime/tests/alloc_free_join.rs has a per-thread variant — a
@@ -80,31 +72,98 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 fn usage() -> ! {
     eprintln!(
         "usage: native_bench [--size smoke|full] [--out PATH] [--threads 1,2,4] [--repeats N] \
-         [--warmup N] [--check-against BASELINE.json] [--gate BASELINE.json] \
-         [--delta-out PATH] [--tolerance F] [--replay RUN.json] \
-         [--append-trajectory PATH] [--note STR]"
+         [--warmup N] [--gate BASELINE.json] [--delta-out PATH] [--ab BASE_BIN]"
     );
     std::process::exit(2);
 }
 
-/// Today's UTC date as `YYYY-MM-DD`, from the system clock (civil-from-days conversion; no
-/// date dependency in the tree).
-fn utc_today() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = secs as i64 / 86_400 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
+/// Run the whole suite in this process and return the rendered document.
+fn measure(cfg: &BenchConfig) -> String {
+    let records = run_suite(cfg, || ALLOCATIONS.load(Ordering::Relaxed));
+    for r in &records {
+        eprintln!(
+            "  {:>13} {:>8} t={}  median {:>12} ns  steals {:>6} ({:>5} batches)  \
+             jobs {:>8}  retries {:>5}  parks {:>4}  allocs/fork {:.4}",
+            r.workload,
+            r.backend,
+            r.threads,
+            r.wall_ns_median,
+            r.steals,
+            r.batch_steals,
+            r.jobs,
+            r.steal_retries,
+            r.parks,
+            r.allocs_per_fork
+        );
+    }
+    let service = run_service_suite(cfg);
+    for r in &service {
+        eprintln!(
+            "  {:>16} {:>6} t={}  median {:>12} ns  {:>9.0} jobs/s  shed {:>4} \
+             (rate {:.3})  p99 queue {:>9} ns",
+            r.scenario,
+            r.admission,
+            r.threads,
+            r.wall_ns_median,
+            r.jobs_per_sec,
+            r.shed,
+            r.shed_rate,
+            r.p99_queue_ns
+        );
+    }
+    let trace = run_trace_overhead(cfg);
+    eprintln!(
+        "  trace-overhead {} t={}  off {:>12} ns  on {:>12} ns  ({:+.1}%)  \
+         {} events recorded",
+        trace.workload,
+        trace.threads,
+        trace.wall_ns_off_median,
+        trace.wall_ns_on_median,
+        100.0 * trace.overhead_rel,
+        trace.events_recorded
+    );
+    // The multi-process rows: shardable workloads across worker subprocesses vs the same
+    // kernels in-process. Needs the shard-worker binary next to this one (CI builds
+    // rws-shard first); when it is absent, say how to fix it rather than emitting a
+    // document missing a section the baseline promises.
+    let sharded = run_sharded_suite(cfg);
+    for r in &sharded {
+        eprintln!(
+            "  sharded {:>8} s={} t={}  median {:>12} ns  in-process {:>12} ns  \
+             ({:+.1}%)  {} parts  jobs {:>8}",
+            r.workload,
+            r.shards,
+            r.threads_per_shard,
+            r.wall_ns_median,
+            r.inproc_wall_ns_median,
+            100.0 * r.overhead_rel,
+            r.parts,
+            r.work_items
+        );
+    }
+    to_json_full(cfg, &records, &service, Some(&trace), &sharded)
+}
+
+/// Run `bin` as a subprocess with `cfg`'s sweep and return the document it wrote.
+fn run_subprocess(bin: &Path, cfg: &BenchConfig, tag: &str) -> Result<String, String> {
+    let out =
+        std::env::temp_dir().join(format!("native_bench-ab-{}-{tag}.json", std::process::id()));
+    let threads: Vec<String> = cfg.threads.iter().map(usize::to_string).collect();
+    let output = Command::new(bin)
+        .args(["--size", cfg.size.name(), "--threads", &threads.join(",")])
+        .args(["--repeats", &cfg.repeats.to_string(), "--warmup", &cfg.warmup.to_string()])
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .map_err(|e| format!("cannot run {}: {e}", bin.display()))?;
+    if !output.status.success() {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        return Err(format!("{} exited with {}:\n{stderr}", bin.display(), output.status));
+    }
+    let doc =
+        std::fs::read_to_string(&out).map_err(|e| format!("cannot read {}: {e}", out.display()));
+    let _ = std::fs::remove_file(&out);
+    doc
 }
 
 fn main() -> ExitCode {
@@ -113,13 +172,9 @@ fn main() -> ExitCode {
     let mut threads: Option<Vec<usize>> = None;
     let mut repeats: Option<usize> = None;
     let mut warmup: Option<usize> = None;
-    let mut baseline: Option<String> = None;
     let mut gate_baseline: Option<String> = None;
     let mut delta_out = String::from("BENCH_delta.json");
-    let mut tolerance: Option<f64> = None;
-    let mut replay: Option<String> = None;
-    let mut trajectory: Option<String> = None;
-    let mut note = String::new();
+    let mut ab_base: Option<PathBuf> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -146,24 +201,15 @@ fn main() -> ExitCode {
             "--warmup" => {
                 warmup = Some(it.next().and_then(|r| r.parse().ok()).unwrap_or_else(|| usage()))
             }
-            "--check-against" => baseline = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--gate" => gate_baseline = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--delta-out" => delta_out = it.next().cloned().unwrap_or_else(|| usage()),
-            "--tolerance" => {
-                tolerance = Some(
-                    it.next()
-                        .and_then(|t| t.parse().ok())
-                        .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--replay" => replay = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--append-trajectory" => {
-                trajectory = Some(it.next().cloned().unwrap_or_else(|| usage()))
-            }
-            "--note" => note = it.next().cloned().unwrap_or_else(|| usage()),
+            "--ab" => ab_base = Some(it.next().map(PathBuf::from).unwrap_or_else(|| usage())),
             _ => usage(),
         }
+    }
+    if ab_base.is_some() && gate_baseline.is_none() {
+        eprintln!("native_bench: --ab needs --gate (its verdicts go into the gate's delta)");
+        usage();
     }
 
     let mut cfg = BenchConfig::for_size(size);
@@ -176,145 +222,77 @@ fn main() -> ExitCode {
     if let Some(w) = warmup {
         cfg.warmup = w;
     }
+    eprintln!(
+        "native_bench: size={} threads={:?} repeats={} warmup={} -> {}",
+        cfg.size.name(),
+        cfg.threads,
+        cfg.repeats,
+        cfg.warmup,
+        out
+    );
 
-    // The document under inspection: a fresh run (written to --out), or a replayed one.
-    let written = if let Some(replay_path) = &replay {
-        match std::fs::read_to_string(replay_path) {
-            Ok(doc) => {
-                eprintln!("native_bench: replaying {replay_path} (no benchmarks run)");
-                doc
+    // The document under inspection: measured here, or the first B run of an A/B check.
+    let (doc, ab): (String, Option<Vec<AbRow>>) = match &ab_base {
+        None => (measure(&cfg), None),
+        Some(base_bin) => {
+            let this_bin = match std::env::current_exe() {
+                Ok(p) => p,
+                Err(e) => {
+                    eprintln!("native_bench: cannot locate this binary: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            let (mut a_runs, mut b_runs) = (0, 0);
+            let run_a = || {
+                a_runs += 1;
+                eprintln!(
+                    "native_bench: A/B run {a_runs}/{AB_PAIRS} of A ({})",
+                    base_bin.display()
+                );
+                run_subprocess(base_bin, &cfg, "a")
+            };
+            let run_b = || {
+                b_runs += 1;
+                eprintln!("native_bench: A/B run {b_runs}/{AB_PAIRS} of B (this build)");
+                run_subprocess(&this_bin, &cfg, "b")
+            };
+            match ab_against(run_a, run_b) {
+                Ok((doc, rows)) => {
+                    for r in &rows {
+                        eprintln!(
+                            "  {:>22}  B slower in {:>2}/{AB_PAIRS} pairs  median B/A {:.3}  {}",
+                            r.id,
+                            r.b_slower,
+                            r.median_ratio,
+                            if r.ok { "ok" } else { "SLOWER" }
+                        );
+                    }
+                    (doc, Some(rows))
+                }
+                Err(e) => {
+                    eprintln!("native_bench: A/B check failed to run: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
-            Err(e) => {
-                eprintln!("native_bench: cannot read replay document {replay_path}: {e}");
-                return ExitCode::FAILURE;
-            }
         }
-    } else {
-        eprintln!(
-            "native_bench: size={} threads={:?} repeats={} warmup={} -> {}",
-            cfg.size.name(),
-            cfg.threads,
-            cfg.repeats,
-            cfg.warmup,
-            out
-        );
-        let records = run_suite(&cfg, || ALLOCATIONS.load(Ordering::Relaxed));
-        for r in &records {
-            eprintln!(
-                "  {:>13} {:>8} t={}  median {:>12} ns  steals {:>6} ({:>5} batches)  \
-                 jobs {:>8}  retries {:>5}  parks {:>4}  allocs/fork {:.4}",
-                r.workload,
-                r.backend,
-                r.threads,
-                r.wall_ns_median,
-                r.steals,
-                r.batch_steals,
-                r.jobs,
-                r.steal_retries,
-                r.parks,
-                r.allocs_per_fork
-            );
-        }
-        let service = run_service_suite(&cfg);
-        for r in &service {
-            eprintln!(
-                "  {:>16} {:>6} t={}  median {:>12} ns  {:>9.0} jobs/s  shed {:>4} \
-                 (rate {:.3})  p99 queue {:>9} ns",
-                r.scenario,
-                r.admission,
-                r.threads,
-                r.wall_ns_median,
-                r.jobs_per_sec,
-                r.shed,
-                r.shed_rate,
-                r.p99_queue_ns
-            );
-        }
-        let trace = run_trace_overhead(&cfg);
-        eprintln!(
-            "  trace-overhead {} t={}  off {:>12} ns  on {:>12} ns  ({:+.1}%)  \
-             {} events recorded",
-            trace.workload,
-            trace.threads,
-            trace.wall_ns_off_median,
-            trace.wall_ns_on_median,
-            100.0 * trace.overhead_rel,
-            trace.events_recorded
-        );
-        // The multi-process rows: shardable workloads across worker subprocesses vs the
-        // same kernels in-process. Needs the shard-worker binary next to this one (CI
-        // builds rws-shard first); when it is absent, say how to fix it rather than
-        // emitting a document missing a section the baseline promises.
-        let sharded = run_sharded_suite(&cfg);
-        for r in &sharded {
-            eprintln!(
-                "  sharded {:>8} s={} t={}  median {:>12} ns  in-process {:>12} ns  \
-                 ({:+.1}%)  {} parts  jobs {:>8}",
-                r.workload,
-                r.shards,
-                r.threads_per_shard,
-                r.wall_ns_median,
-                r.inproc_wall_ns_median,
-                100.0 * r.overhead_rel,
-                r.parts,
-                r.work_items
-            );
-        }
-        let doc = to_json_full(&cfg, &records, &service, Some(&trace), &sharded);
-        if let Err(e) = std::fs::write(&out, &doc) {
-            eprintln!("native_bench: failed to write {out}: {e}");
+    };
+    if let Err(e) = std::fs::write(&out, &doc) {
+        eprintln!("native_bench: failed to write {out}: {e}");
+        return ExitCode::FAILURE;
+    }
+    // Validate what actually landed on disk, not the in-memory string.
+    let written = match std::fs::read_to_string(&out) {
+        Ok(w) => w,
+        Err(e) => {
+            eprintln!("native_bench: failed to re-read {out}: {e}");
             return ExitCode::FAILURE;
-        }
-        // Validate what actually landed on disk, not the in-memory string.
-        match std::fs::read_to_string(&out) {
-            Ok(w) => {
-                eprintln!("native_bench: wrote {out} ({} records)", records.len());
-                w
-            }
-            Err(e) => {
-                eprintln!("native_bench: failed to re-read {out}: {e}");
-                return ExitCode::FAILURE;
-            }
         }
     };
     if let Err(e) = validate_json(&written) {
         eprintln!("native_bench: run document is malformed: {e}");
         return ExitCode::FAILURE;
     }
-
-    if let Some(baseline_path) = &baseline {
-        let baseline_doc = match std::fs::read_to_string(baseline_path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("native_bench: cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = check_against(&written, &baseline_doc) {
-            eprintln!("native_bench: run does not match the {baseline_path} schema: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("native_bench: run structurally matches {baseline_path}");
-    }
-
-    if let Some(trajectory_path) = &trajectory {
-        let existing = std::fs::read_to_string(trajectory_path).ok();
-        let appended = trajectory_row(&written, &utc_today(), &note)
-            .and_then(|row| append_trajectory(existing.as_deref(), row));
-        match appended {
-            Ok(doc) => {
-                if let Err(e) = std::fs::write(trajectory_path, &doc) {
-                    eprintln!("native_bench: failed to write {trajectory_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("native_bench: appended a trajectory row to {trajectory_path}");
-            }
-            Err(e) => {
-                eprintln!("native_bench: trajectory append failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    eprintln!("native_bench: wrote {out}");
 
     if let Some(gate_path) = &gate_baseline {
         let baseline_doc = match std::fs::read_to_string(gate_path) {
@@ -324,11 +302,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let mut gate = GateConfig::default();
-        if let Some(t) = tolerance {
-            gate.wall_rel_tol = t;
-        }
-        match gate_against(&written, &baseline_doc, &gate) {
+        match gate_against(&written, &baseline_doc, ab.as_deref()) {
             Ok((delta, pass)) => {
                 if let Err(e) = std::fs::write(&delta_out, &delta) {
                     eprintln!("native_bench: failed to write {delta_out}: {e}");

@@ -21,12 +21,12 @@
 //! max_shed_rate = 0.75
 //! ```
 //!
-//! The run drives four phases — paced steady traffic, an overload burst of at least
-//! `burst_jobs / queue_capacity` times the admission window, a batch of tight-deadline
-//! jobs, and a post-chaos probe batch — while the scenario's [`FaultPlan`] kills and
-//! stalls workers, panics jobs, and (optionally) hammers the injector with a contention
-//! storm. Every submission's closure bumps a per-submission execution counter, so the
-//! verdicts are counted facts, not vibes:
+//! The run drives four phases — paced steady traffic, a batch of tight-deadline jobs,
+//! an overload burst of at least `burst_jobs / queue_capacity` times the admission window
+//! (submitted once the first two phases have settled), and a post-chaos probe batch —
+//! while the scenario's [`FaultPlan`] kills and stalls workers, panics jobs, and
+//! (optionally) hammers the injector with a contention storm. Every submission's closure
+//! bumps a per-submission execution counter, so the verdicts are counted facts, not vibes:
 //!
 //! * **all-terminal** — every submission reaches a terminal [`JobOutcome`];
 //! * **conservation** — the outcome partition sums exactly to `submitted`;
@@ -36,6 +36,8 @@
 //! * **server-live** — the probe batch completes *after* `min_deaths` injected worker
 //!   deaths, and every death was healed by a respawn;
 //! * **panic-volume** — at least `min_panics` injected panics were quarantined;
+//! * **deadline-enforced** — at least `min_deadlines` jobs were terminated by their
+//!   deadline;
 //! * **shed-rate-bounded** — load-shedding stayed under `max_shed_rate` of submissions.
 //!
 //! [`run`] returns a [`ChaosReport`] that renders as the validated `rws-chaos-report/v1`
@@ -615,6 +617,24 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
         );
         thread::sleep(sc.steady_pace);
     }
+    // Waits for every handle in `hs` to settle (until the overall deadline); returns how
+    // many did.
+    let settle = |hs: &[JobHandle]| -> u64 {
+        hs.iter()
+            .filter(|h| {
+                let left =
+                    overall.saturating_duration_since(Instant::now()).max(Duration::from_millis(1));
+                h.wait_timeout(left).is_some()
+            })
+            .count() as u64
+    };
+    // Let phases 1 and 2 settle before the burst. A `ShedOldest` burst evicts the oldest
+    // queued jobs, so a deadline job still queued when it begins would be shed instead of
+    // reaching its deadline, and a queued job marked to panic would never run: the
+    // deadline and panic floors would depend on the schedule. Every deadline job settles
+    // within its budget (the supervisor cancels it, queued or running), so the wait is
+    // short.
+    settle(&handles);
     // Phase 3 — burst: back-to-back submissions several admission windows deep; under a
     // shedding policy this is where load-shedding must engage (and stay bounded).
     for _ in 0..sc.burst_jobs {
@@ -622,13 +642,7 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
     }
 
     // Let the main trace settle before probing liveness.
-    let mut main_terminal = 0u64;
-    for h in &handles {
-        let left = overall.saturating_duration_since(Instant::now()).max(Duration::from_millis(1));
-        if h.wait_timeout(left).is_some() {
-            main_terminal += 1;
-        }
-    }
+    let main_terminal = settle(&handles);
 
     // Phase 4 — probe: the healed server must still serve fresh work.
     let probe_start = handles.len();
@@ -899,5 +913,33 @@ mod tests {
         assert!(report.sabotaged);
         assert!(report.to_json().contains("\"sabotaged\": true"));
         validate_chaos_report(&report.to_json()).expect("even a failing report validates");
+    }
+
+    #[test]
+    fn committed_floors_follow_from_the_seeded_plans() {
+        for text in [
+            include_str!("../../../scenarios/chaos_quick.scn"),
+            include_str!("../../../scenarios/chaos_storm.scn"),
+        ] {
+            let sc = ChaosScenario::parse(text).expect("committed scenario parses");
+            let plan = FaultPlan::new(FaultSpec {
+                seed: sc.seed,
+                panic_every: sc.panic_every,
+                ..FaultSpec::default()
+            });
+            let marked = |seqs: std::ops::Range<u64>| {
+                plan.panics_planned(seqs.end) - plan.panics_planned(seqs.start)
+            };
+            // Deadline jobs are submissions steady_jobs.. and settle before the burst, so
+            // none is shed: each reaches its deadline unless it is marked to panic.
+            let deadline_seqs = sc.steady_jobs..sc.steady_jobs + sc.deadline_jobs;
+            assert_eq!(sc.min_deadlines, sc.deadline_jobs - marked(deadline_seqs), "{}", sc.name);
+            // The paced steady jobs all run, so each marked one panics.
+            assert!(sc.min_panics <= marked(0..sc.steady_jobs), "{}", sc.name);
+            // Every job that runs takes a worker sweep first, so the steady jobs alone pass
+            // every planned death.
+            assert!(sc.death_sweeps.iter().all(|&s| s < sc.steady_jobs), "{}", sc.name);
+            assert_eq!(sc.min_deaths, sc.death_sweeps.len(), "{}", sc.name);
+        }
     }
 }

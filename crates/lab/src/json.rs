@@ -319,8 +319,8 @@ pub fn validate_with_keys(doc: &str, required: &[&str]) -> Result<(), String> {
 }
 
 /// Parse a document into a [`Json`] value tree — the read half of this module, used by
-/// structural *diffs* (e.g. `native_bench --check-against`, which compares a smoke run's
-/// shape against the committed baseline). Numbers parse as `U64`/`I64` when they are
+/// structural *diffs* (e.g. `native_bench --gate`, which compares a run's shape and
+/// counters against the committed baseline). Numbers parse as `U64`/`I64` when they are
 /// integral and in range, `F64` otherwise; object key order is preserved.
 pub fn parse(doc: &str) -> Result<Json, String> {
     struct P<'a> {

@@ -33,7 +33,7 @@ fn complex_input(n: usize, rng: &mut SmallRng) -> Vec<Complex> {
 }
 
 #[test]
-fn fft_survives_oversubscription_on_both_deque_backends() {
+fn fft_survives_oversubscription() {
     let pool = ThreadPoolBuilder::new().threads(OVERSUBSCRIBE).build();
     for seed in [1u64, 42, 0xC0FFEE] {
         let mut rng = SmallRng::seed_from_u64(seed);
